@@ -5,11 +5,17 @@ associates each with an open track (same label, recent enough, close enough
 in Mahalanobis terms) or starts a new one, fuses the observation into the
 track's location estimate, and maintains presence intervals and an
 existence probability per track.
+
+A pass costs what its detections touch, not what the store holds: each
+detection is offered only the same-label tracks last seen within the
+association gap before it, found by bisecting a per-label list sorted by
+last sighting, and only tracks that changed are rebuilt and re-encoded.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Optional
@@ -173,25 +179,52 @@ def run_refinement_pass(store, policy: RefinePolicy = RefinePolicy()) -> Refinem
 
     Idempotent: an immediate second pass reports all zeros. Determinism: the
     store's detection append order plus the policy fully decide assignments.
+
+    Each detection is handed only the same-label tracks whose last sighting
+    lies in [ts - assoc_max_gap_s, ts], widened by 1 us on each side so the
+    window is a superset of what associate's gate admits. The window is a
+    query, not a retirement rule: a reprocessed detection for an old frame
+    still finds the tracks that were live at that time.
     """
     policy.validate()
     report = RefinementReport()
     state = store.load_refine_state()
     cursor = state["cursor"]
     next_id = state["next_track_id"]
-    tracks = [_OpenTrack.from_track(t) for t in state["tracks"]]
-    touched: set[int] = set()
-
+    tracks: list[Optional[Track]] = state["tracks"]  # by position; new ones filled in last
     pending = store.detections_from(cursor)
     if not pending:
         return report
 
+    # label -> [(last_ts, track_id, position)] sorted by last sighting
+    windows: dict[str, list[tuple[datetime, int, int]]] = {}
+    for pos, t in enumerate(tracks):
+        windows.setdefault(t.label, []).append((t.last_seen, t.track_id, pos))
+    for entries in windows.values():
+        entries.sort()
+    opened: dict[int, _OpenTrack] = {}  # position -> working state, built on demand
+    touched: set[int] = set()
+    first_new = len(tracks)
+    tick = timedelta(microseconds=1)
+    gap = timedelta(seconds=policy.assoc_max_gap_s) + tick
+
+    def candidate(pos: int) -> _OpenTrack:
+        if pos not in opened:
+            opened[pos] = _OpenTrack.from_track(tracks[pos])
+        return opened[pos]
+
     with store.writer_role("refine"):
         for seq, det in pending:
             fm = store.frame_by_id(det.frame_id)
-            tid, match, _dist = associate(det, fm, tracks, policy, next_id)
+            entries = windows.setdefault(det.label, [])
+            lo = bisect_left(entries, (fm.ts - gap,))
+            hi = bisect_left(entries, (fm.ts + tick,))
+            window = [candidate(pos) for _ts, _tid, pos in entries[lo:hi]]
+            tid, match, _dist = associate(det, fm, window, policy, next_id)
             if match is None:
-                t = _OpenTrack(
+                pos = len(tracks)
+                tracks.append(None)
+                opened[pos] = _OpenTrack(
                     track_id=tid, label=det.label, kind=det.kind,
                     loc=observation_from_detection(det, fm, policy),
                     intervals=[Interval(start=fm.ts, end=fm.ts,
@@ -200,20 +233,25 @@ def run_refinement_pass(store, policy: RefinePolicy = RefinePolicy()) -> Refinem
                     miss_prob=1.0 - det.confidence,
                     last_ts=fm.ts,
                 )
-                tracks.append(t)
+                insort(entries, (fm.ts, tid, pos))
                 next_id += 1
                 report.tracks_created += 1
             else:
+                i = bisect_left(entries, (match.last_ts, match.track_id))
+                pos = entries.pop(i)[2]
                 _absorb(match, det, fm, policy, report)
-                if match.track_id not in touched:
+                insort(entries, (match.last_ts, match.track_id, pos))
+                if pos not in touched:
                     report.tracks_updated += 1
-                    touched.add(match.track_id)
+                    touched.add(pos)
             cursor = seq + 1
 
+        for pos in touched.union(range(first_new, len(tracks))):
+            tracks[pos] = opened[pos].to_track()
         store.save_refine_state({
             "cursor": cursor,
             "next_track_id": next_id,
-            "tracks": [t.to_track() for t in tracks],
+            "tracks": tracks,
         })
     return report
 

@@ -5,21 +5,21 @@ On-disk layout under the store root:
     manifest.json     versioned manifest; lists the live segment files and
                       tier boundaries. Written atomically (tmp + rename).
     segments/NNNN.seg append-only binary record log (source of truth)
-    index/labels.idx  label -> postings, derived, rebuildable
-    index/time.idx    (ts, frame_id) pairs, derived, rebuildable
     summaries.json    warm (hourly) and cold (daily) tier summaries
     tracks.json       refinement state (cursor + fused tracks)
     coverage.json     which (subject, activity, range) triples were analyzed
-    lock              advisory writer lock
+    lock              writer lock, held with flock by the writing process
 
-Segments plus the json sidecars are authoritative; everything under index/
-can be deleted and rebuilt. Appends buffer in memory and become durable at
+Segments plus the json sidecars are authoritative. The label postings and the
+time index live only in memory: open rebuilds them from the segments, so no
+index file is written. Appends buffer in memory and become durable at
 flush(); a crash before flush loses only unflushed records. Readers load a
 consistent snapshot at open and are never blocked by a writer.
 """
 
 from __future__ import annotations
 
+import fcntl
 import heapq
 import json
 import os
@@ -196,7 +196,6 @@ class Store:
         self._next_segment_no = 0
         self._segment_max = DEFAULT_SEGMENT_RECORDS
         self._pending: list[bytes] = []         # encoded but unflushed records
-        self._pending_count = 0
 
         self._frames: dict[int, FrameMeta] = {}
         self._frame_order: list[int] = []       # ascending frame ids
@@ -222,7 +221,6 @@ class Store:
     @classmethod
     def create(cls, root: str) -> "Store":
         os.makedirs(os.path.join(root, "segments"), exist_ok=True)
-        os.makedirs(os.path.join(root, "index"), exist_ok=True)
         manifest = {
             "version": FORMAT_VERSION,
             "segment_max_records": DEFAULT_SEGMENT_RECORDS,
@@ -257,21 +255,25 @@ class Store:
         return store
 
     def _acquire_lock(self) -> None:
+        """Take the writer lock. The kernel drops a flock when its holder's
+        descriptor closes, so a killed writer leaves the store unlocked. The
+        file is never unlinked: a waiter that opened it must lock the same
+        file as the next writer."""
         path = os.path.join(self.root, "lock")
+        fd = os.open(path, os.O_CREAT | os.O_WRONLY, 0o644)
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
             raise StoreLocked(f"writer lock held: {path}") from None
+        os.ftruncate(fd, 0)
         os.write(fd, str(os.getpid()).encode())
         self._lock_fd = fd
 
     def _release_lock(self) -> None:
         if self._lock_fd is not None:
+            os.ftruncate(self._lock_fd, 0)
             os.close(self._lock_fd)
-            try:
-                os.unlink(os.path.join(self.root, "lock"))
-            except FileNotFoundError:
-                pass
             self._lock_fd = None
 
     def _load(self, manifest: dict) -> None:
@@ -285,7 +287,7 @@ class Store:
                     fh.truncate(good)
             self._segment_counts.append(len(records))
             for rec in records:
-                self._index_record(rec, durable=True)
+                self._index_record(rec)
         self._load_sidecars()
 
     def _load_sidecars(self) -> None:
@@ -306,7 +308,7 @@ class Store:
 
     # --------------------------------------------------------------- indexing
 
-    def _index_record(self, rec: FeedRecord, durable: bool) -> None:
+    def _index_record(self, rec: FeedRecord) -> None:
         if isinstance(rec, FrameMeta):
             self._frames[rec.frame_id] = rec
             self._frame_order.append(rec.frame_id)
@@ -341,18 +343,17 @@ class Store:
                 raise InvalidRecord("ts", "timestamps must be non-decreasing")
         data = segcodec.encode_record(record)
         self._pending.append(data)
-        self._pending_count += 1
         # index the decoded form so in-memory state always equals what a
         # reopened store would see (pose z/angles quantize through f32)
-        self._index_record(segcodec.decode_payload(data[0], data[3:-4]), durable=False)
+        self._index_record(segcodec.decode_payload(data[0], data[3:-4]))
 
     def flush(self) -> None:
-        """Make all pending appends durable and persist derived indexes."""
+        """Make all pending appends durable and persist the sidecars."""
         if self.mode != "rw":
             raise ReadOnlyStore("store opened read-only")
         if self._pending:
             buf = iter(self._pending)
-            remaining = self._pending_count
+            remaining = len(self._pending)
             chunk: list[bytes] = []
             while remaining > 0:
                 if not self._segments or self._segment_counts[-1] >= self._segment_max:
@@ -372,9 +373,7 @@ class Store:
                 self._segment_counts[-1] += take
                 remaining -= take
             self._pending = []
-            self._pending_count = 0
         self._write_manifest()
-        self._write_indexes()
         self._write_sidecars()
 
     def _write_manifest(self) -> None:
@@ -384,14 +383,6 @@ class Store:
             "segments": self._segments,
             "next_segment_no": self._next_segment_no,
         })
-
-    def _write_indexes(self) -> None:
-        if self._postings:
-            _atomic_write_json(os.path.join(self.root, "index", "labels.idx"),
-                               {lbl: [[f, s] for f, s in pl] for lbl, pl in self._postings.items()})
-        if self._frame_order:
-            _atomic_write_json(os.path.join(self.root, "index", "time.idx"),
-                               [[us, f] for us, f in zip(self._time_index, self._frame_order)])
 
     def _write_sidecars(self) -> None:
         if self._label_summaries or self._activity_summaries:
@@ -403,14 +394,6 @@ class Store:
             _atomic_write_json(os.path.join(self.root, "coverage.json"), self._coverage)
         if self._refine_state is not None:
             _atomic_write_json(os.path.join(self.root, "tracks.json"), self._refine_state)
-
-    def rebuild_indexes(self) -> None:
-        """Drop index files and rewrite them from segment contents."""
-        for name in ("labels.idx", "time.idx"):
-            p = os.path.join(self.root, "index", name)
-            if os.path.exists(p):
-                os.unlink(p)
-        self._write_indexes()
 
     def close(self, flush: bool = True) -> None:
         if self._closed:
@@ -634,14 +617,23 @@ class Store:
         }
 
     def save_refine_state(self, state: dict) -> None:
+        """Replace the refinement state; it becomes durable at the next flush.
+
+        A track that is the very object cached at its position is unchanged
+        and keeps its encoded form; only the others are encoded again.
+        """
         if self.mode != "rw":
             raise ReadOnlyStore("store opened read-only")
+        tracks = list(state["tracks"])
+        cache = self._track_cache or []
+        encoded = self._refine_state["tracks"] if cache else []
         self._refine_state = {
             "cursor": state["cursor"],
             "next_track_id": state["next_track_id"],
-            "tracks": [_track_to_json(t) for t in state["tracks"]],
+            "tracks": [encoded[i] if i < len(cache) and cache[i] is t else _track_to_json(t)
+                       for i, t in enumerate(tracks)],
         }
-        self._track_cache = list(state["tracks"])
+        self._track_cache = tracks
 
     def tracks(self) -> list[Track]:
         return self.load_refine_state()["tracks"]
@@ -663,7 +655,11 @@ class Store:
         summaries, and hourly summaries older than the warm window into daily
         ones. Frame metadata survives in every tier so reprocessing can still
         target frames. Rewrites segments; raw records in migrated ranges are
-        gone afterwards."""
+        gone afterwards.
+
+        Tracks whose sightings were rolled up keep their intervals and fused
+        estimate. The refine cursor is renumbered with the detections it
+        counts, so detections appended later are still refined."""
         report = MigrationReport(bytes_before=self._bytes_on_disk())
         hot_us = ts_to_micros(now - policy.hot_window)
         warm_us = ts_to_micros(now - policy.warm_window)
@@ -733,6 +729,10 @@ class Store:
                 raise CorruptSegment("migration count mismatch")
 
             if migrated or report.activities_migrated:
+                if self._refine_state is not None:
+                    cursor = self._refine_state["cursor"]
+                    self._refine_state = dict(self._refine_state, cursor=sum(
+                        1 for seq, _ in keep_detections if seq < cursor))
                 self._rewrite_segments([d for _, d in keep_detections], keep_activities)
             else:
                 self._write_sidecars()
@@ -844,11 +844,10 @@ class Store:
         saved_cov = self._coverage
         self._coverage = []
         for rec in records:
-            self._index_record(rec, durable=True)
+            self._index_record(rec)
         self._coverage = saved_cov  # coverage is historical fact, not re-derived
 
         self._write_manifest()
-        self.rebuild_indexes()
         self._write_sidecars()
         for name in old:
             try:

@@ -24,6 +24,8 @@ from robomem.refine import (
 )
 from robomem.store import Store
 
+from oracle import brute_tracks, canonicalize, feed_state
+
 T0 = ts_parse("2019-06-01T00:00:00Z")
 
 
@@ -218,6 +220,92 @@ def test_association_determinism(tmp_path):
         states.append(s.load_refine_state())
         s.close()
     assert states[0] == states[1]
+
+
+# ---------------------------------------------------------------------------
+# windowed association against the brute-force oracle, which scans every track
+
+def _append(store, records):
+    for r in records:
+        store.append(r)
+    store.flush()
+
+
+def _assert_oracle_tracks(store, records, policy=RefinePolicy()):
+    want = brute_tracks(feed_state(canonicalize(records)), policy)
+    got = store.tracks()
+    assert len(got) == len(want)
+    for t, b in zip(got, want):
+        assert (t.track_id, t.label, t.kind) == (b.track_id, b.label, b.kind)
+        assert [(iv.start, iv.end, iv.first_frame, iv.last_frame) for iv in t.intervals] == \
+            [tuple(iv) for iv in b.intervals]
+        assert t.miss_prob == pytest.approx(b.miss, abs=1e-12)
+        assert t.loc.mean == pytest.approx(tuple(b.mean), abs=1e-9)
+        assert [x for row in t.loc.cov for x in row] == pytest.approx(b.cov.ravel().tolist(), abs=1e-9)
+
+
+@pytest.mark.parametrize("gap_us, n_tracks", [(5_000_000, 1), (5_000_001, 2)])
+def test_association_window_edge(store, gap_us, n_tracks):
+    # the second sighting comes in a later pass, so the window is built from
+    # the saved track; exactly assoc_max_gap_s joins, 1 us more does not
+    first = [FrameMeta(0, T0, Pose(0.0, 0.0)), Detection(0, "remote", "object", 0.9)]
+    second = [FrameMeta(1, T0 + timedelta(microseconds=gap_us), Pose(0.0, 0.0)),
+              Detection(1, "remote", "object", 0.9)]
+    for batch in (first, second):
+        _append(store, batch)
+        run_refinement_pass(store, RefinePolicy(assoc_max_gap_s=5.0))
+    assert len(store.tracks()) == n_tracks
+    _assert_oracle_tracks(store, first + second)
+
+
+def test_reprocessed_old_frames_find_their_tracks(store):
+    frames = [FrameMeta(f, T0 + timedelta(seconds=f), Pose(0.0, 0.0)) for f in range(20)]
+    live = [Detection(f, "remote", "object", 0.8) for f in (0, 1, 2, 3, 4, 15, 16, 17, 18, 19)]
+    _append(store, frames + live)
+    run_refinement_pass(store)
+    assert len(store.tracks()) == 2
+    # a reprocess appends to sightings that were already refined: a second
+    # sighting in frame 19 joins the track last seen there, and frame 5
+    # continues the track last seen at frame 4, not the one seen at frame 19
+    old = [Detection(19, "remote", "object", 0.5)]
+    old += [Detection(f, "remote", "object", 0.6) for f in range(5, 15)]
+    _append(store, old)
+    run_refinement_pass(store)
+    assert [t.observation_count for t in store.tracks()] == [15, 6]
+    _assert_oracle_tracks(store, frames + live + old)
+
+
+def test_equal_distance_tie_goes_to_lower_track_id(store):
+    # track 0 is seen at x=5 (t=1), then a reprocessed sighting at x=-5 (t=0)
+    # starts track 1, which sorts first by last sighting; a sighting at x=0
+    # (t=2) gates into both at equal distance and joins track 0
+    frames = [FrameMeta(0, T0, Pose(-5.0, 0.0)),
+              FrameMeta(1, T0 + timedelta(seconds=1), Pose(5.0, 0.0)),
+              FrameMeta(2, T0 + timedelta(seconds=2), Pose(0.0, 0.0))]
+    dets = [Detection(1, "remote", "object", 0.9), Detection(0, "remote", "object", 0.9),
+            Detection(2, "remote", "object", 0.9)]
+    _append(store, frames + dets)
+    run_refinement_pass(store)
+    assert [(t.track_id, t.observation_count) for t in store.tracks()] == [(0, 2), (1, 1)]
+    _assert_oracle_tracks(store, frames + dets)
+
+
+def test_state_carried_across_passes_and_reopen(tmp_path):
+    from conftest import small_scenario
+    from robomem.scenario import generate_scenario
+    _gt, records = generate_scenario(small_scenario(seed=7, minutes=3.0))
+    starts = [i for i, r in enumerate(records) if isinstance(r, FrameMeta)]
+    a, b = starts[len(starts) // 3], starts[2 * len(starts) // 3]
+    root = str(tmp_path / "store")
+    s = Store.create(root)
+    for k, batch in enumerate((records[:a], records[a:b], records[b:])):
+        ingest_stream(iter(batch), s)
+        run_refinement_pass(s)
+        if k == 1:
+            s.close()
+            s = Store.open(root)
+    _assert_oracle_tracks(s, records)
+    s.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 import os
 import random
 import shutil
+import signal
+import subprocess
+import sys
 from datetime import timedelta
 
 import pytest
+
+import robomem
 
 from robomem.errors import MigrationConflict, ReadOnlyStore, StoreLocked, StoreVersionError
 from robomem.ingest import ingest_stream
@@ -16,6 +21,7 @@ from robomem.model import (
     ts_to_micros,
 )
 from robomem.query import run_query
+from robomem.refine import run_refinement_pass
 from robomem.scenario import generate_scenario
 from robomem.store import Store, TierPolicy
 
@@ -75,6 +81,24 @@ def test_writer_lock_exclusive(store):
         Store.open(store.root, mode="rw")
     # read-only open is fine alongside the writer
     Store.open(store.root, mode="ro").close()
+
+
+@pytest.mark.parametrize("death", ["os._exit(0)", "os.kill(os.getpid(), signal.SIGKILL)"])
+def test_killed_writer_releases_lock(tmp_path, death):
+    root = str(tmp_path / "store")
+    Store.create(root).close()
+    src = os.path.dirname(os.path.dirname(robomem.__file__))
+    code = (f"import os, signal\nfrom robomem.store import Store\n"
+            f"s = Store.open({root!r}, mode='rw')\n{death}\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                           capture_output=True)
+    assert child.returncode in (0, -signal.SIGKILL), child.stderr
+    assert os.path.exists(os.path.join(root, "lock"))
+    s = Store.open(root, mode="rw")
+    with pytest.raises(StoreLocked):
+        Store.open(root, mode="rw")
+    s.close()
 
 
 def test_newer_version_refused(tmp_path, store):
@@ -157,16 +181,37 @@ def test_frames_in_range_matches_scan(populated):
 
 
 def test_index_rebuild_reproduces_answers(populated):
-    store, _gt, records = populated
-    label = store.labels()[0]
-    before = store.find_by_label(label)
-    for name in ("labels.idx", "time.idx"):
-        os.unlink(os.path.join(store.root, "index", name))
-    store.rebuild_indexes()
+    """Postings and the time index are rebuilt from the segments at open, so
+    a store needs no index files, and a stale index/ directory is ignored."""
+    store, _gt, _records = populated
+    store.flush()
+    assert not os.path.exists(os.path.join(store.root, "index"))
+    bounds = store.time_bounds()
+    rng = random.Random(2)
+    span = (bounds.end - bounds.start).total_seconds()
+    windows = [bounds]
+    for _ in range(20):
+        a, b = sorted(rng.uniform(0, span) for _ in range(2))
+        windows.append(TimeRange(bounds.start + timedelta(seconds=a),
+                                 bounds.start + timedelta(seconds=b)))
+
+    def answers(s):
+        hits = {(label, order): [(h.frame, h.detection)
+                                 for h in s.find_by_label(label, order=order)]
+                for label in s.labels() for order in ("asc", "desc")}
+        return hits, [s.frames_in_range(w) for w in windows]
+
+    before = answers(store)
     store.close()
     reopened = Store.open(store.root)
-    assert [(h.frame, h.detection) for h in reopened.find_by_label(label)] == \
-        [(h.frame, h.detection) for h in before]
+    assert answers(reopened) == before
+    reopened.close()
+
+    os.makedirs(os.path.join(store.root, "index"))
+    with open(os.path.join(store.root, "index", "labels.idx"), "w") as fh:
+        fh.write("{}")
+    reopened = Store.open(store.root, mode="ro")
+    assert answers(reopened) == before
     reopened.close()
 
 
@@ -244,6 +289,29 @@ def test_migration_shrinks_disk(tmp_path):
     s.migrate_tiers(now, TierPolicy(hot_window=timedelta(days=7)))
     after = s.stats().bytes_on_disk
     assert after < before
+    s.close()
+
+
+def test_migration_keeps_refinement_going(tmp_path):
+    """A migration that rolls up refined detections renumbers the refine
+    cursor with them, so detections appended later are all refined."""
+    _gt, records = generate_scenario(small_scenario(seed=2, minutes=3.0))
+    frames = [r for r in records if isinstance(r, FrameMeta)]
+    cut = records.index(frames[len(frames) // 2])
+    first, rest = records[:cut], records[cut:]
+    s = Store.create(str(tmp_path / "mig"))
+    ingest_stream(iter(first), s)
+    run_refinement_pass(s)
+    policy = TierPolicy(hot_window=timedelta(days=7))
+    report = s.migrate_tiers(frames[0].ts + timedelta(seconds=30) + policy.hot_window, policy)
+    assert 0 < report.detections_migrated < s.detection_count() + report.detections_migrated
+    assert s.load_refine_state()["cursor"] == s.detection_count()
+
+    new = sum(isinstance(r, Detection) for r in rest)
+    ingest_stream(iter(rest), s)
+    second = run_refinement_pass(s)
+    assert s.load_refine_state()["cursor"] == s.detection_count()
+    assert second.tracks_created + second.observations_fused == new
     s.close()
 
 

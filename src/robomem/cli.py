@@ -178,6 +178,7 @@ def cmd_ingest(args) -> int:
             report = ingest_stream(read_feed(fh), store)
         if args.refine:
             run_refinement_pass(store, _policy_from_args(args))
+        store.flush()  # write the refine state, so the stats count it
         stats = store.stats()
     payload = {
         "frames": report.frames,

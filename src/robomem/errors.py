@@ -31,10 +31,6 @@ class OutOfOrderFrame(RoboMemError):
         super().__init__(f"frame {frame_id} out of order")
 
 
-class StorageFull(RoboMemError):
-    pass
-
-
 class CorruptSegment(RoboMemError):
     """Checksum or framing failure inside a segment file."""
 

@@ -49,10 +49,8 @@ from .model import (
     ts_from_micros,
 )
 from .refine import RefinePolicy, existence_probability, observation_from_detection
-from .reprocess import select_frames
+from .reprocess import DEFAULT_BUDGET, select_frames
 from .store import HOUR_US, DAY_US, Store
-
-DEFAULT_BUDGET = 256
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +283,15 @@ def _exec_last_seen(ast: LastSeen, store: Store, policy: RefinePolicy,
         return NotFound()
     hit = hits[0]
     if hit.coarse:
-        return LocationAnswer(loc=hit.loc, ts=hit.ts, frame_id=hit.frame.frame_id,
+        return LocationAnswer(loc=hit.loc, ts=hit.ts, frame_id=hit.frame_id,
                               confidence=hit.detection.confidence, coarse=True)
-    track = store.track_for(ast.label, hit.frame.frame_id)
+    track = store.track_for(ast.label, hit.frame_id)
     if track is not None:
         anchor = now if now is not None else hit.ts
-        return LocationAnswer(loc=track.loc, ts=hit.ts, frame_id=hit.frame.frame_id,
+        return LocationAnswer(loc=track.loc, ts=hit.ts, frame_id=hit.frame_id,
                               confidence=existence_probability(track, anchor, policy))
     loc = observation_from_detection(hit.detection, hit.frame, policy)
-    return LocationAnswer(loc=loc, ts=hit.ts, frame_id=hit.frame.frame_id,
+    return LocationAnswer(loc=loc, ts=hit.ts, frame_id=hit.frame_id,
                           confidence=hit.detection.confidence)
 
 
@@ -308,7 +306,7 @@ def _exec_present(ast: Present, store: Store) -> Answer:
                 frames.add(h.summary.first_frame)
                 frames.add(h.summary.last_frame)
             else:
-                frames.add(h.frame.frame_id)
+                frames.add(h.detection.frame_id)
         prob = _noisy_or(h.detection.confidence for h in hits)
         return BoolAnswer(value=True, prob=prob,
                           supporting_frames=tuple(sorted(frames)), coarse=coarse)

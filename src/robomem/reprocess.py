@@ -56,7 +56,7 @@ def select_frames(store, predicate_label: Optional[str], rng: TimeRange,
                 candidates.add(hit.summary.first_frame)
                 candidates.add(hit.summary.last_frame)
             else:
-                candidates.add(hit.frame.frame_id)
+                candidates.add(hit.detection.frame_id)
         ordered = sorted(candidates)
     else:
         ordered = store.frames_in_range(rng)
@@ -75,8 +75,9 @@ def select_frames(store, predicate_label: Optional[str], rng: TimeRange,
 def _validate_returned(records, request: ReprocessRequest, store) -> list:
     requested = set(request.frame_ids)
     if requested:
-        lo = min(store.frame_by_id(f).ts for f in requested)
-        hi = max(store.frame_by_id(f).ts for f in requested)
+        # frame timestamps never decrease as frame ids grow
+        lo = store.frame_by_id(min(requested)).ts
+        hi = store.frame_by_id(max(requested)).ts
     out = []
     for rec in records:
         if isinstance(rec, Detection):

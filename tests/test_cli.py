@@ -76,6 +76,17 @@ def test_ingest_reports_rates(loaded, capsys, tmp_path, feed):
     assert payload["bytes_per_frame"] <= 275
 
 
+def test_ingest_refine_bytes_per_frame_counts_refine_state(tmp_path, feed, capsys):
+    store = str(tmp_path / "store")
+    assert main(["--store", store, "init"]) == 0
+    rc, ingested = run_json(capsys, ["--store", store, "--format", "json",
+                                     "ingest", "--feed", feed, "--refine"])
+    assert rc == 0
+    rc, stats = run_json(capsys, ["--store", store, "--format", "json", "stats"])
+    assert rc == 0 and stats["tracks"] > 0
+    assert ingested["bytes_per_frame"] == stats["bytes_per_frame"]
+
+
 def test_ingest_rerun_rejects_duplicates(loaded, capsys):
     store, feed = loaded
     rc, payload = run_json(capsys, ["--store", store, "--format", "json",

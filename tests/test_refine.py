@@ -10,8 +10,10 @@ from robomem.ingest import ingest_stream
 from robomem.model import (
     Detection,
     FrameMeta,
+    Interval,
     LocationEstimate,
     Pose,
+    Track,
     mat2_eigvals,
     ts_parse,
 )
@@ -354,3 +356,78 @@ def test_fused_mean_converges_on_static_object(store):
     (track,) = store.tracks()
     err = math.dist(track.loc.mean, true)
     assert err < 1.0
+
+
+# ---------------------------------------------------------------------------
+# track_for against a scan of every track and interval
+
+def brute_track_for(tracks, label, frame_id):
+    for t in tracks:
+        if t.label == label and any(iv.first_frame <= frame_id <= iv.last_frame
+                                    for iv in t.intervals):
+            return t
+    return None
+
+
+def _assert_track_for_matches_scan(store, records):
+    tracks = store.tracks()
+    sightings = {(r.label, r.frame_id) for r in records if isinstance(r, Detection)}
+    for label, frame_id in sorted(sightings):
+        assert store.track_for(label, frame_id) is brute_track_for(tracks, label, frame_id)
+    # between sightings and past both ends too
+    for label in {label for label, _ in sightings}:
+        for frame_id in range(-1, store.max_frame_id + 2):
+            assert store.track_for(label, frame_id) is brute_track_for(tracks, label, frame_id)
+    return len(sightings)
+
+
+def test_track_for_matches_scan_across_passes_and_reopen(tmp_path):
+    from conftest import small_scenario
+    from robomem.scenario import generate_scenario
+    _gt, records = generate_scenario(small_scenario(seed=4, minutes=3.0, label_noise=0.1,
+                                                    detection_recall=0.6))
+    frames = [r for r in records if isinstance(r, FrameMeta)]
+    cut = records.index(frames[len(frames) // 2])
+    root = str(tmp_path / "s")
+    s = Store.create(root)
+    ingest_stream(iter(records[:cut]), s)
+    run_refinement_pass(s)
+    assert _assert_track_for_matches_scan(s, records[:cut]) > 0
+    ingest_stream(iter(records[cut:]), s)
+    assert run_refinement_pass(s).observations_fused > 0
+    _assert_track_for_matches_scan(s, records)
+    s.close()
+    s = Store.open(root, mode="ro")
+    _assert_track_for_matches_scan(s, records)
+    s.close()
+
+
+def test_track_for_first_track_wins_on_overlap(store):
+    for f in range(21):
+        store.append(FrameMeta(f, T0 + timedelta(seconds=f), Pose(0.0, 0.0)))
+
+    def track(tid, label, *spans):
+        ivs = tuple(Interval(start=T0 + timedelta(seconds=a), end=T0 + timedelta(seconds=b),
+                             first_frame=a, last_frame=b) for a, b in spans)
+        return Track(track_id=tid, label=label, kind="object", loc=at(0.0, 0.0),
+                     intervals=ivs, observation_count=len(ivs), existence_prob=0.5,
+                     miss_prob=0.5)
+
+    a = track(5, "cup", (5, 10))
+    b = track(1, "cup", (0, 7), (9, 15))
+    c = track(2, "book", (0, 20))
+    d = track(3, "cup", (12, 12), (17, 18))
+    e = track(6, "cup", (16, 19))
+    b2 = track(1, "cup", (0, 7), (9, 16))
+    # reordered, then appended to and changed in place as a refinement pass
+    # does, then cut short
+    states = ([a, b, c, d], [b, a, d, c], [d, c, b, a], [d, c, b, a, e], [d, c, b2, a, e], [c])
+    for tracks in states:
+        store.save_refine_state({"cursor": 0, "next_track_id": 7, "tracks": tracks})
+        for label in ("cup", "book", "mug"):
+            for f in range(-1, 22):
+                assert store.track_for(label, f) is brute_track_for(tracks, label, f)
+        if tracks is states[2]:
+            assert store.track_for("cup", 12) is d  # d comes first, b also holds 12
+            assert store.track_for("cup", 6) is b and store.track_for("cup", 8) is a
+            assert store.track_for("cup", 16) is None

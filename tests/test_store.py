@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import shutil
@@ -23,6 +24,7 @@ from robomem.model import (
 from robomem.query import run_query
 from robomem.refine import run_refinement_pass
 from robomem.scenario import generate_scenario
+from robomem.segment import decode_payload, encode_record
 from robomem.store import Store, TierPolicy
 
 from conftest import small_scenario
@@ -31,13 +33,13 @@ from oracle import canonicalize
 T0 = ts_parse("2019-06-01T00:00:00Z")
 
 
-def brute_find(records, label, rng=None):
+def brute_find(records, label, rng=None, kind=None):
     """Linear scan of the raw feed for (frame, detection) sightings."""
     records = canonicalize(records)
     frames = {r.frame_id: r for r in records if isinstance(r, FrameMeta)}
     out = []
     for r in records:
-        if isinstance(r, Detection) and r.label == label:
+        if isinstance(r, Detection) and r.label == label and kind in (None, r.kind):
             fm = frames[r.frame_id]
             if rng is None or rng.contains(fm.ts):
                 out.append((fm, r))
@@ -123,20 +125,40 @@ def test_find_by_label_matches_linear_scan(populated):
     extra = Detection(latest.frame_id, tied_label, latest.kind, 0.5)
     store.append(extra)
     records = records + [extra]
+    # a label sighted as both kinds: person sightings in some frames of its
+    # object ones, one of them tied with an object sighting of the same frame
+    kinds = {}
+    for r in records:
+        if isinstance(r, Detection):
+            kinds.setdefault(r.label, set()).add(r.kind)
+    mixed = min(label for label, ks in kinds.items()
+                if ks == {"object"} and label != tied_label)
+    object_frames = [fm.frame_id for fm, _d in brute_find(records, mixed)]
+    for frame_id in object_frames[::7] + object_frames[-1:]:
+        det = Detection(frame_id, mixed, "person", 0.6)
+        store.append(det)
+        records.append(det)
+    person_only = min(label for label, ks in kinds.items() if ks == {"person"})
 
-    def check(label, window, order, limit):
-        want = brute_find(records, label, window)
+    def check(label, window, order, limit, kind=None):
+        want = brute_find(records, label, window, kind)
         if order == "desc":
             want = want[::-1]
         if limit is not None:
             want = want[:limit]
-        got = store.find_by_label(label, rng=window, order=order, limit=limit)
+        got = store.find_by_label(label, rng=window, order=order, limit=limit, kind=kind)
         assert [(h.frame, h.detection) for h in got] == want
+        assert all(h.ts == h.frame.ts and h.frame_id == h.frame.frame_id for h in got)
 
     for order in ("asc", "desc"):
         for limit in (None, 1, 2):
             check(tied_label, None, order, limit)
+            for kind in (None, "object", "person"):
+                check(mixed, None, order, limit, kind)
+            check(person_only, None, order, limit, "object")  # a kind it never has
     assert store.find_by_label(tied_label, order="desc", limit=1)[0].detection == extra
+    assert {h.detection.kind for h in store.find_by_label(mixed)} == {"object", "person"}
+    assert store.find_by_label(person_only, kind="object") == []
 
     rng = random.Random(0)
     bounds = store.time_bounds()
@@ -148,6 +170,12 @@ def test_find_by_label_matches_linear_scan(populated):
         window = TimeRange(bounds.start + timedelta(seconds=a),
                            bounds.start + timedelta(seconds=b))
         check(label, window, rng.choice(["asc", "desc"]), rng.choice([None, 1, 5, 50]))
+    for _ in range(50):
+        a, b = sorted(rng.uniform(0, span) for _ in range(2))
+        window = TimeRange(bounds.start + timedelta(seconds=a),
+                           bounds.start + timedelta(seconds=b))
+        check(mixed, window, rng.choice(["asc", "desc"]), rng.choice([None, 1, 5]),
+              rng.choice([None, "object", "person"]))
 
 
 def test_find_by_label_last_sighting(populated):
@@ -239,6 +267,126 @@ def test_crash_safety_random_truncation(tmp_path):
             for hit in st.find_by_label(label):
                 assert hit.frame.frame_id == hit.detection.frame_id
         st.close()
+
+
+# ---------------------------------------------------------------------------
+# the frame table
+
+def served_frames(records):
+    """Each frame as the codec gives it back: its encoded record, decoded."""
+    out = []
+    for r in records:
+        if isinstance(r, FrameMeta):
+            data = encode_record(r)
+            out.append(decode_payload(data[0], data[3:-4]))
+    return out
+
+
+def segment_bytes(root):
+    with open(os.path.join(root, "manifest.json")) as fh:
+        names = json.load(fh)["segments"]
+    data = b""
+    for name in names:
+        with open(os.path.join(root, "segments", name), "rb") as fh:
+            data += fh.read()
+    return data
+
+
+def assert_frame_table(store, frames):
+    assert store.frame_count() == len(frames)
+    for fm in frames:
+        assert store.frame_by_id(fm.frame_id) == fm
+    with pytest.raises(KeyError):
+        store.frame_by_id(frames[-1].frame_id + 1)
+    assert store.time_bounds() == TimeRange(frames[0].ts, frames[-1].ts)
+    assert store.max_frame_id == frames[-1].frame_id
+    rng = random.Random(len(frames))
+    span = (frames[-1].ts - frames[0].ts).total_seconds()
+    windows = [TimeRange(frames[0].ts, frames[-1].ts),
+               TimeRange(frames[0].ts - timedelta(seconds=9), frames[0].ts),
+               TimeRange(frames[-1].ts, frames[-1].ts + timedelta(seconds=9))]
+    for _ in range(30):
+        a, b = sorted(rng.uniform(-1, span + 1) for _ in range(2))
+        windows.append(TimeRange(frames[0].ts + timedelta(seconds=a),
+                                 frames[0].ts + timedelta(seconds=b)))
+    for w in windows:
+        assert store.frames_in_range(w) == [f.frame_id for f in frames if w.contains(f.ts)]
+
+
+def test_frame_table_matches_records(tmp_path):
+    """The frame table serves every frame as its record decodes: before a
+    flush, after a reopen, after a migration and after a torn tail."""
+    _gt, records = generate_scenario(small_scenario(seed=6, minutes=1.5))
+    frames = served_frames(records)
+    root = str(tmp_path / "s")
+    s = Store.create(root)
+    for r in records:
+        s.append(r)
+    assert_frame_table(s, frames)  # rw, nothing flushed yet
+    s.flush()
+    assert segment_bytes(root) == b"".join(encode_record(r) for r in records)
+    s.close()
+    torn = str(tmp_path / "torn")
+    shutil.copytree(root, torn)
+
+    s = Store.open(root, mode="ro")
+    assert_frame_table(s, frames)
+    s.close()
+
+    s = Store.open(root)
+    now = frames[len(frames) // 2].ts + timedelta(days=7)
+    assert s.migrate_tiers(now, TierPolicy(hot_window=timedelta(days=7))).detections_migrated
+    assert_frame_table(s, frames)
+    assert segment_bytes(root).startswith(b"".join(encode_record(f) for f in frames))
+    s.close()
+    s = Store.open(root, mode="ro")
+    assert_frame_table(s, frames)
+    s.close()
+
+    # cut the log inside the record of a frame: that frame and all after go
+    ends = []
+    off = 0
+    for r in records:
+        off += len(encode_record(r))
+        ends.append(off)
+    frame_at = [i for i, r in enumerate(records) if isinstance(r, FrameMeta)]
+    k = frame_at[len(frame_at) * 2 // 3]
+    (seg,) = os.listdir(os.path.join(torn, "segments"))
+    with open(os.path.join(torn, "segments", seg), "r+b") as fh:
+        fh.truncate(ends[k] - 5)
+    s = Store.open(torn)
+    assert_frame_table(s, served_frames(records[:k]))
+    s.close()
+    s = Store.open(torn, mode="ro")
+    assert_frame_table(s, served_frames(records[:k]))
+    s.close()
+
+
+def test_open_builds_no_frame_objects(populated, monkeypatch):
+    store, _gt, _records = populated
+    store.flush()
+    built = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            built.append(cls)
+            init(self, *args, **kwargs)
+        return __init__
+
+    for cls in (FrameMeta, Pose):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    reopened = Store.open(store.root, mode="ro")
+    assert built == []
+    n = reopened.frame_count()
+    assert n > reopened.detection_count()
+    per_frame = [name for name, v in vars(reopened).items()
+                 if isinstance(v, (dict, list)) and len(v) >= n]
+    assert per_frame == []
+    assert reopened.frame_by_id(0).frame_id == 0  # built on demand, and counted
+    assert built == [Pose, FrameMeta]
+    reopened.close()
 
 
 # ---------------------------------------------------------------------------

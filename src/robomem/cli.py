@@ -35,9 +35,9 @@ from .model import (
     ts_format,
     ts_parse,
 )
-from .query import format_query, parse_query, plan_query, execute_plan
+from .query import format_query, parse_query, run_query
 from .refine import RefinePolicy, run_refinement_pass
-from .reprocess import OracleReprocessor, run_reprocess
+from .reprocess import DEFAULT_BUDGET, OracleReprocessor, run_reprocess
 from .scenario import (
     ActivitySpec,
     ScenarioConfig,
@@ -77,15 +77,16 @@ def _policy_from_args(args) -> RefinePolicy:
     if getattr(args, "policy_file", None):
         with open(args.policy_file) as fh:
             base = json.load(fh)
-    def pick(flag, key, default):
+    default = RefinePolicy()
+    def pick(flag, key):
         v = getattr(args, flag, None)
-        return v if v is not None else base.get(key, default)
+        return v if v is not None else base.get(key, getattr(default, key))
     return RefinePolicy(
-        obs_sigma_m=pick("obs_sigma", "obs_sigma_m", 2.0),
-        assoc_max_gap_s=pick("assoc_gap", "assoc_max_gap_s", 5.0),
-        assoc_max_mahalanobis=pick("assoc_mahalanobis", "assoc_max_mahalanobis", 3.0),
-        interval_merge_gap_s=pick("merge_gap", "interval_merge_gap_s", 60.0),
-        existence_decay_per_day=pick("decay", "existence_decay_per_day", 0.0),
+        obs_sigma_m=pick("obs_sigma", "obs_sigma_m"),
+        assoc_max_gap_s=pick("assoc_gap", "assoc_max_gap_s"),
+        assoc_max_mahalanobis=pick("assoc_mahalanobis", "assoc_max_mahalanobis"),
+        interval_merge_gap_s=pick("merge_gap", "interval_merge_gap_s"),
+        existence_decay_per_day=pick("decay", "existence_decay_per_day"),
     )
 
 
@@ -249,8 +250,7 @@ def cmd_query(args) -> int:
     policy = _policy_from_args(args)
     with Store.open(args.store, mode="rw" if args.reprocess == "oracle" else "ro") as store:
         t0 = time.perf_counter()
-        ans = execute_plan(plan_query(ast), store, policy=policy,
-                           now=args.now, budget=args.budget)
+        ans = run_query(ast, store, policy=policy, now=args.now, budget=args.budget)
         if isinstance(ans, NeedsReprocess) and args.reprocess == "oracle":
             if not args.truth:
                 print("--reprocess oracle requires --truth", file=sys.stderr)
@@ -258,8 +258,7 @@ def cmd_query(args) -> int:
             with open(args.truth) as fh:
                 truth = regenerate_truth(config_from_json(json.load(fh)))
             run_reprocess(store, ans.request, OracleReprocessor(truth), policy)
-            ans = execute_plan(plan_query(ast), store, policy=policy,
-                               now=args.now, budget=args.budget)
+            ans = run_query(ast, store, policy=policy, now=args.now, budget=args.budget)
         elapsed = time.perf_counter() - t0
     payload = answer_to_json(ans)
     payload["elapsed_seconds"] = elapsed
@@ -290,9 +289,9 @@ def cmd_bench(args) -> int:
                         f'TO {ts_format(bounds.end)}')
             latencies = []
             for q in probes:
-                plan = plan_query(parse_query(q))
+                ast = parse_query(q)
                 t0 = time.perf_counter()
-                execute_plan(plan, store)
+                run_query(ast, store)
                 latencies.append(time.perf_counter() - t0)
             latencies.sort()
             rows["probes"] = len(latencies)
@@ -389,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="run a DSL query")
     p.add_argument("query")
-    p.add_argument("--budget", type=int, default=256)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--reprocess", choices=("none", "oracle"), default="none")
     p.add_argument("--truth", help="ground-truth config for --reprocess oracle")
     policy_flags(p)

@@ -23,14 +23,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from typing import Optional
+from datetime import datetime
+from typing import Callable, Optional
 
 from .errors import QuerySemanticError, QuerySyntaxError
 from .model import (
     Answer,
     BoolAnswer,
-    Detection,
     Did,
     Duration,
     DurationAnswer,
@@ -223,51 +222,21 @@ def format_query(ast: QueryAST) -> str:
 # planner
 
 @dataclass(frozen=True)
-class PlanStep:
-    op: str
-    label: Optional[str] = None
-    kind: Optional[str] = None
-    subject: Optional[str] = None
-    activity: Optional[str] = None
-    range: Optional[TimeRange] = None
-    order: str = "asc"
-    limit: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class Plan:
+    """A parsed query and the executor for its AST type."""
     ast: QueryAST
-    steps: tuple[PlanStep, ...]
-    reducer: str  # latest | exists | sum_by_bucket | argmax_by_cell
+    executor: Callable[..., Answer]
 
 
 def plan_query(ast: QueryAST) -> Plan:
-    if isinstance(ast, LastSeen):
-        return Plan(ast, (
-            PlanStep("probe_label", label=ast.label, kind=ast.kind, order="desc", limit=1),
-            PlanStep("track_lookup", label=ast.label),
-        ), reducer="latest")
-    if isinstance(ast, Present):
-        return Plan(ast, (
-            PlanStep("probe_label", label=ast.label, kind=ast.kind, range=ast.range),
-            PlanStep("frame_coverage", range=ast.range),
-        ), reducer="exists")
-    steps = (
-        PlanStep("activity_scan", activity=ast.activity, subject=ast.subject, range=ast.range),
-        PlanStep("activity_summary_scan", activity=ast.activity, subject=ast.subject, range=ast.range),
-        PlanStep("escalate_if_uncovered", activity=ast.activity, subject=ast.subject, range=ast.range),
-    )
-    if isinstance(ast, Did):
-        return Plan(ast, steps, reducer="exists")
-    if isinstance(ast, Duration):
-        return Plan(ast, steps, reducer="sum_by_bucket")
-    if isinstance(ast, WhereMost):
-        return Plan(ast, steps, reducer="argmax_by_cell")
-    raise TypeError(f"not a query AST: {ast!r}")
+    executor = _EXECUTORS.get(type(ast))
+    if executor is None:
+        raise TypeError(f"not a query AST: {ast!r}")
+    return Plan(ast, executor)
 
 
 # ---------------------------------------------------------------------------
-# executor
+# executors: one per AST type, each called as (ast, store, policy, now, budget)
 
 def _noisy_or(probs) -> float:
     miss = 1.0
@@ -277,7 +246,7 @@ def _noisy_or(probs) -> float:
 
 
 def _exec_last_seen(ast: LastSeen, store: Store, policy: RefinePolicy,
-                    now: Optional[datetime]) -> Answer:
+                    now: Optional[datetime], _budget: int) -> Answer:
     hits = store.find_by_label(ast.label, order="desc", limit=1, kind=ast.kind)
     if not hits:
         return NotFound()
@@ -295,36 +264,40 @@ def _exec_last_seen(ast: LastSeen, store: Store, policy: RefinePolicy,
                           confidence=hit.detection.confidence)
 
 
-def _exec_present(ast: Present, store: Store) -> Answer:
+def _exec_present(ast: Present, store: Store, *_) -> Answer:
     hits = store.find_by_label(ast.label, rng=ast.range, kind=ast.kind)
     if hits:
-        frames: set[int] = set()
-        coarse = False
-        for h in hits:
-            if h.coarse:
-                coarse = True
-                frames.add(h.summary.first_frame)
-                frames.add(h.summary.last_frame)
-            else:
-                frames.add(h.detection.frame_id)
+        frames = {f for h in hits for f in h.frame_ids}
         prob = _noisy_or(h.detection.confidence for h in hits)
-        return BoolAnswer(value=True, prob=prob,
-                          supporting_frames=tuple(sorted(frames)), coarse=coarse)
+        return BoolAnswer(value=True, prob=prob, supporting_frames=tuple(sorted(frames)),
+                          coarse=any(h.coarse for h in hits))
     if store.frames_in_range(ast.range):
         return BoolAnswer(value=False, prob=0.0, supporting_frames=())
     return NotFound()
 
 
+def _activity_executor(reduce, none: Answer):
+    """The executor of one activity question type.
+
+    It gathers the raw events and summary rows that meet the range and
+    reduces them. With neither, a range that was analyzed answers `none`; one
+    that never was asks for frames to reprocess rather than a silent "no"."""
+    def execute(ast, store: Store, _policy, _now, budget: int) -> Answer:
+        events = store.activities(name=ast.activity, subject=ast.subject, rng=ast.range)
+        summaries = store.activity_summaries(name=ast.activity, subject=ast.subject,
+                                             rng=ast.range)
+        if events or summaries:
+            return reduce(ast, store, events, summaries)
+        if store.is_covered(ast.subject, ast.activity, ast.range):
+            return none
+        return NeedsReprocess(request=select_frames(
+            store, predicate_label=ast.subject, rng=ast.range, budget=budget, query=ast))
+    return execute
+
+
 def _bucket_start_us(ts_us: int, bucket: str) -> int:
     width = HOUR_US if bucket == "hour" else DAY_US
     return ts_us - ts_us % width
-
-
-def _gather_activity(ast, store: Store):
-    """Raw events plus summary rows for one activity query."""
-    events = store.activities(name=ast.activity, subject=ast.subject, rng=ast.range)
-    summaries = store.activity_summaries(name=ast.activity, subject=ast.subject, rng=ast.range)
-    return events, summaries
 
 
 def _summary_overlap_seconds(s, rng: TimeRange) -> float:
@@ -340,39 +313,22 @@ def _summary_overlap_seconds(s, rng: TimeRange) -> float:
     return s.seconds * (hi - lo) / width
 
 
-def _escalate(ast, store: Store, budget: int) -> NeedsReprocess:
-    request = select_frames(store, predicate_label=ast.subject,
-                            rng=ast.range, budget=budget, query=ast)
-    return NeedsReprocess(request=request)
+def _reduce_did(ast: Did, store: Store, events, summaries) -> Answer:
+    total = sum(ast.range.overlap_seconds(e.start, e.end) for e in events)
+    total += sum(_summary_overlap_seconds(s, ast.range) for s in summaries)
+    frames: set[int] = set()
+    for e in events:
+        lo = max(e.start, ast.range.start)
+        hi = min(e.end, ast.range.end)
+        if lo <= hi:
+            frames.update(store.frames_in_range(TimeRange(lo, hi)))
+    prob = max([e.prob for e in events] + [s.prob for s in summaries])
+    return BoolAnswer(value=total > 0, prob=prob if total > 0 else 0.0,
+                      supporting_frames=tuple(sorted(frames)),
+                      coarse=bool(summaries))
 
 
-def _exec_did(ast: Did, store: Store, budget: int) -> Answer:
-    events, summaries = _gather_activity(ast, store)
-    if events or summaries:
-        total = sum(ast.range.overlap_seconds(e.start, e.end) for e in events)
-        total += sum(_summary_overlap_seconds(s, ast.range) for s in summaries)
-        frames: set[int] = set()
-        for e in events:
-            lo = max(e.start, ast.range.start)
-            hi = min(e.end, ast.range.end)
-            if lo <= hi:
-                frames.update(store.frames_in_range(TimeRange(lo, hi)))
-        prob = max([e.prob for e in events] + [s.prob for s in summaries])
-        return BoolAnswer(value=total > 0, prob=prob if total > 0 else 0.0,
-                          supporting_frames=tuple(sorted(frames)),
-                          coarse=bool(summaries))
-    if store.is_covered(ast.subject, ast.activity, ast.range):
-        return BoolAnswer(value=False, prob=0.0, supporting_frames=())
-    return _escalate(ast, store, budget)
-
-
-def _exec_duration(ast: Duration, store: Store, budget: int) -> Answer:
-    events, summaries = _gather_activity(ast, store)
-    if not events and not summaries:
-        if store.is_covered(ast.subject, ast.activity, ast.range):
-            return DurationAnswer(total_seconds=0.0)
-        return _escalate(ast, store, budget)
-
+def _reduce_duration(ast: Duration, _store, events, summaries) -> Answer:
     total = 0.0
     buckets: dict[int, float] = {}
     for e in events:
@@ -400,29 +356,14 @@ def _exec_duration(ast: Duration, store: Store, budget: int) -> Answer:
                           coarse=bool(summaries))
 
 
-def _exec_where_most(ast: WhereMost, store: Store, budget: int) -> Answer:
-    events, summaries = _gather_activity(ast, store)
-    if not events and not summaries:
-        if store.is_covered(ast.subject, ast.activity, ast.range):
-            return NotFound()
-        return _escalate(ast, store, budget)
-
+def _reduce_where_most(ast: WhereMost, _store, events, summaries) -> Answer:
+    parts = [(e.loc, ast.range.overlap_seconds(e.start, e.end)) for e in events]
+    parts += [(s.loc, _summary_overlap_seconds(s, ast.range)) for s in summaries]
     cells: dict[tuple[int, int], float] = {}
-    for e in events:
-        if e.loc is None:
+    for loc, secs in parts:
+        if loc is None or secs <= 0:
             continue
-        secs = ast.range.overlap_seconds(e.start, e.end)
-        if secs <= 0:
-            continue
-        cell = (math.floor(e.loc.mean[0]), math.floor(e.loc.mean[1]))
-        cells[cell] = cells.get(cell, 0.0) + secs
-    for s in summaries:
-        if s.loc is None:
-            continue
-        secs = _summary_overlap_seconds(s, ast.range)
-        if secs <= 0:
-            continue
-        cell = (math.floor(s.loc.mean[0]), math.floor(s.loc.mean[1]))
+        cell = (math.floor(loc.mean[0]), math.floor(loc.mean[1]))
         cells[cell] = cells.get(cell, 0.0) + secs
     if not cells:
         return NotFound(coarse=bool(summaries))
@@ -432,20 +373,18 @@ def _exec_where_most(ast: WhereMost, store: Store, budget: int) -> Answer:
                        coarse=bool(summaries))
 
 
+_EXECUTORS = {
+    LastSeen: _exec_last_seen,
+    Present: _exec_present,
+    Did: _activity_executor(_reduce_did, BoolAnswer(value=False, prob=0.0, supporting_frames=())),
+    Duration: _activity_executor(_reduce_duration, DurationAnswer(total_seconds=0.0)),
+    WhereMost: _activity_executor(_reduce_where_most, NotFound()),
+}
+
+
 def execute_plan(plan: Plan, store: Store, policy: RefinePolicy = RefinePolicy(),
                  now: Optional[datetime] = None, budget: int = DEFAULT_BUDGET) -> Answer:
-    ast = plan.ast
-    if plan.reducer == "latest":
-        return _exec_last_seen(ast, store, policy, now)
-    if plan.reducer == "exists" and isinstance(ast, Present):
-        return _exec_present(ast, store)
-    if plan.reducer == "exists":
-        return _exec_did(ast, store, budget)
-    if plan.reducer == "sum_by_bucket":
-        return _exec_duration(ast, store, budget)
-    if plan.reducer == "argmax_by_cell":
-        return _exec_where_most(ast, store, budget)
-    raise ValueError(f"unknown reducer {plan.reducer}")
+    return plan.executor(plan.ast, store, policy, now, budget)
 
 
 def run_query(text_or_ast, store: Store, policy: RefinePolicy = RefinePolicy(),

@@ -50,14 +50,8 @@ def select_frames(store, predicate_label: Optional[str], rng: TimeRange,
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if predicate_label is not None:
-        candidates: set[int] = set()
-        for hit in store.find_by_label(predicate_label, rng=rng):
-            if hit.coarse:
-                candidates.add(hit.summary.first_frame)
-                candidates.add(hit.summary.last_frame)
-            else:
-                candidates.add(hit.detection.frame_id)
-        ordered = sorted(candidates)
+        ordered = sorted({f for hit in store.find_by_label(predicate_label, rng=rng)
+                          for f in hit.frame_ids})
     else:
         ordered = store.frames_in_range(rng)
 
@@ -104,7 +98,9 @@ def run_reprocess(store, request: ReprocessRequest, reprocessor: Reprocessor,
     """Run the reprocessor over the request and merge results atomically.
 
     Every returned record is validated before anything is appended, so a
-    failure leaves query answers bit-identical to before.
+    failure leaves query answers bit-identical to before. A detection whose
+    (frame, label, kind) the store already holds, from before or earlier in
+    the batch, is skipped: it is the same sighting, not new evidence.
     """
     report = ReprocessReport()
     try:
@@ -117,6 +113,8 @@ def run_reprocess(store, request: ReprocessRequest, reprocessor: Reprocessor,
 
     with store.writer_role("reprocess"):
         for rec in staged:
+            if isinstance(rec, Detection) and store.has_sighting(rec.frame_id, rec.label, rec.kind):
+                continue
             store.append(rec)
             report.records_added += 1
         q = request.query

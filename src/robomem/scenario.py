@@ -88,10 +88,6 @@ class GroundTruth:
     visibility: list[list[tuple[str, str]]]       # per frame: (kind, label)
     activities: list[ActivityEvent] = field(default_factory=list)
 
-    def activity_at(self, subject: str, name: str, ts: datetime) -> bool:
-        return any(ev.subject == subject and ev.name == name and ev.start <= ts <= ev.end
-                   for ev in self.activities)
-
     def range(self) -> TimeRange:
         return TimeRange(self.frame_ts[0], self.frame_ts[-1])
 

@@ -68,7 +68,7 @@ from .model import (
     ts_to_micros,
     validate_record,
 )
-from .refine import RefinePolicy, fuse, observation_from_detection
+from .refine import fuse, observation_from_detection
 
 FORMAT_VERSION = 1
 DEFAULT_SEGMENT_RECORDS = 8192
@@ -83,7 +83,6 @@ _FIRST = itemgetter(0)
 class TierPolicy:
     hot_window: timedelta = timedelta(days=7)
     warm_window: timedelta = timedelta(days=90)
-    obs_sigma_m: float = 2.0
 
 
 @dataclass
@@ -158,14 +157,31 @@ class LabelHit:
 
     A hit carries its frame's timestamp, and its frame id is its detection's;
     `frame` builds the full FrameMeta from the store's frame table when
-    asked for."""
+    asked for. A summary stand-in is coarse, and its count, location and
+    frames are the summary's."""
     detection: Detection
     ts_us: int
-    coarse: bool = False
-    count: int = 1
-    loc: Optional[LocationEstimate] = None
     summary: Optional[LabelSummary] = None
     frames: Optional[segcodec.FrameColumns] = field(default=None, repr=False, compare=False)
+
+    @property
+    def coarse(self) -> bool:
+        return self.summary is not None
+
+    @property
+    def count(self) -> int:
+        return 1 if self.summary is None else self.summary.count
+
+    @property
+    def loc(self) -> Optional[LocationEstimate]:
+        return None if self.summary is None else self.summary.loc
+
+    @property
+    def frame_ids(self) -> tuple[int, ...]:
+        """The sighting's frame, or the summary's first and last frame."""
+        if self.summary is None:
+            return (self.detection.frame_id,)
+        return (self.summary.first_frame, self.summary.last_frame)
 
     @property
     def frame_id(self) -> int:
@@ -562,9 +578,15 @@ class Store:
             s = self._label_summaries[n]
             det = Detection(frame_id=s.last_frame, label=s.label, kind=s.kind,
                             confidence=s.detect_prob)
-            out.append(LabelHit(det, ts, coarse=True, count=s.count,
-                                loc=s.loc, summary=s, frames=frames))
+            out.append(LabelHit(det, ts, summary=s, frames=frames))
         return out
+
+    def has_sighting(self, frame_id: int, label: str, kind: str) -> bool:
+        """True iff a raw detection of (label, kind) in this frame is held."""
+        pos = self._frames.position(frame_id)
+        postings = self._postings.get((label, kind), ())
+        i = bisect_left(postings, (pos, -1))
+        return i < len(postings) and postings[i][0] == pos
 
     def detections_from(self, seq: int) -> list[tuple[int, Detection]]:
         return list(enumerate(self._detections[seq:], start=seq))
@@ -621,7 +643,8 @@ class Store:
 
         A span recorded without a subject covers any subject; a query without
         a subject needs subject-agnostic (or all-subject) spans, so only
-        subjectless spans count for it.
+        subjectless spans count for it. An instant is covered only by a span
+        that contains it.
         """
         spans = []
         for c in self._coverage:
@@ -632,18 +655,17 @@ class Store:
             if c["subject"] is not None and subject is None:
                 continue
             spans.append((c["from_us"], c["to_us"]))
-        if not spans:
-            return False
         spans.sort()
         need_lo, need_hi = ts_to_micros(rng.start), ts_to_micros(rng.end)
-        covered_to = need_lo
+        reach = need_lo  # spans so far cover [need_lo, reach] once one meets need_lo
         for lo, hi in spans:
-            if lo > covered_to:
+            if lo > reach:
                 break
-            covered_to = max(covered_to, hi)
-            if covered_to >= need_hi:
-                return True
-        return covered_to >= need_hi
+            if hi >= reach:
+                if hi >= need_hi:
+                    return True
+                reach = hi
+        return False
 
     # ------------------------------------------------------------ refinement
 
@@ -763,8 +785,7 @@ class Store:
                 else:
                     keep_detections.append((seq, det))
             for (label, kind, bucket_us), dets in sorted(groups.items()):
-                self._label_summaries.append(self._summarize(label, kind, bucket_us, "hourly",
-                                                             dets, policy))
+                self._label_summaries.append(self._summarize(label, kind, bucket_us, "hourly", dets))
                 report.detections_migrated += len(dets)
                 report.hourly_created += 1
 
@@ -827,14 +848,13 @@ class Store:
         return report
 
     def _summarize(self, label: str, kind: str, bucket_us: int, tier: str,
-                   dets: list[Detection], policy: TierPolicy) -> LabelSummary:
-        rp = RefinePolicy(obs_sigma_m=policy.obs_sigma_m)
+                   dets: list[Detection]) -> LabelSummary:
         loc = None
         miss = 1.0
         first_ts, first_frame = min((self._frame_ts_us(d.frame_id), d.frame_id) for d in dets)
         last_ts, last_frame = max((self._frame_ts_us(d.frame_id), d.frame_id) for d in dets)
         for d in dets:
-            obs = observation_from_detection(d, self.frame_by_id(d.frame_id), rp)
+            obs = observation_from_detection(d, self.frame_by_id(d.frame_id))
             loc = obs if loc is None else fuse(loc, obs)
             miss *= (1.0 - d.confidence)
         return LabelSummary(

@@ -187,6 +187,9 @@ def _covered(st: FeedState, activity: str, subject, rng: TimeRange) -> bool:
         return False
     spans.sort()
     lo, hi = ts_to_micros(rng.start), ts_to_micros(rng.end)
+    if lo == hi:
+        # an instant is covered only by a span that contains it
+        return any(a <= lo <= b for a, b in spans)
     reach = lo
     for a, b in spans:
         if a > reach:

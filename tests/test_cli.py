@@ -224,3 +224,16 @@ def test_policy_file_and_flag_precedence(loaded, tmp_path, capsys):
     # the bad file value is overridden by the flag, so the pass runs
     rc = main(["--store", store, "refine", "--policy-file", pf, "--assoc-gap", "4.0"])
     assert rc == 0
+
+
+def test_refine_without_policy_flags_uses_defaults(loaded, monkeypatch):
+    import robomem.cli as cli
+    from robomem.refine import RefinePolicy
+
+    seen = []
+    real = cli.run_refinement_pass
+    monkeypatch.setattr(cli, "run_refinement_pass",
+                        lambda store, policy: seen.append(policy) or real(store, policy))
+    store, _feed = loaded
+    assert main(["--store", store, "refine"]) == 0
+    assert seen == [RefinePolicy()]

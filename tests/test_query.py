@@ -22,12 +22,13 @@ from robomem.model import (
     Present,
     TimeRange,
     WhereMost,
+    ts_format,
     ts_parse,
 )
 from robomem.query import format_query, parse_query, plan_query, run_query
 from robomem.refine import run_refinement_pass
 
-from oracle import random_query_text
+from oracle import brute_did, brute_duration, feed_state, random_query_text
 
 T0 = ts_parse("2019-06-01T00:00:00Z")
 R = TimeRange(T0, T0 + timedelta(hours=1))
@@ -106,24 +107,9 @@ def test_format_parse_round_trip_500():
 # ---------------------------------------------------------------------------
 # planner
 
-def test_plan_shapes():
-    plan = plan_query(parse_query('LAST_SEEN object="remote"'))
-    assert [s.op for s in plan.steps] == ["probe_label", "track_lookup"]
-    assert plan.reducer == "latest"
-
-    plan = plan_query(parse_query(f'PRESENT object="remote" {RTXT}'))
-    assert [s.op for s in plan.steps] == ["probe_label", "frame_coverage"]
-    assert plan.reducer == "exists"
-
-    for text, reducer in [
-        (f'DID activity="sleep" {RTXT}', "exists"),
-        (f'DURATION activity="sleep" {RTXT}', "sum_by_bucket"),
-        (f'WHERE_MOST activity="sleep" {RTXT}', "argmax_by_cell"),
-    ]:
-        plan = plan_query(parse_query(text))
-        assert [s.op for s in plan.steps] == [
-            "activity_scan", "activity_summary_scan", "escalate_if_uncovered"]
-        assert plan.reducer == reducer
+def test_plan_rejects_non_ast():
+    with pytest.raises(TypeError):
+        plan_query('LAST_SEEN object="remote"')
 
 
 def _spy(store, names):
@@ -293,3 +279,33 @@ def test_duration_did_agree_on_scheduled_activities(populated):
                    for e in gt.activities
                    if e.name == ev.name and e.subject == ev.subject)
         assert dur.total_seconds == want
+
+
+def test_instant_range_covered_only_inside_a_span(store):
+    """An instant outside every analyzed span escalates, in store and oracle
+    alike, instead of reading as a silent "no"; inside a span it is analyzed."""
+    records = [FrameMeta(f, T0 + f * timedelta(seconds=1), Pose(0.0, 0.0)) for f in range(60)]
+    records.append(ActivityEvent("steve", "sleep", T0, T0 + timedelta(seconds=10)))
+    for rec in records:
+        store.append(rec)
+    store.flush()
+    st = feed_state(records)
+
+    def at(s):
+        t = T0 + timedelta(seconds=s)
+        return TimeRange(t, t), f"FROM {ts_format(t)} TO {ts_format(t)}"
+
+    rng, text = at(50)
+    assert not store.is_covered("steve", "sleep", rng)
+    assert isinstance(run_query(f'DID activity="sleep" subject="steve" {text}', store),
+                      NeedsReprocess)
+    assert isinstance(run_query(f'DURATION activity="sleep" subject="steve" {text}', store),
+                      NeedsReprocess)
+    assert brute_did(st, "sleep", "steve", rng) == {"answer": "needs_reprocess"}
+    assert brute_duration(st, "sleep", "steve", rng, None) == {"answer": "needs_reprocess"}
+
+    # the closed span [0 s, 10 s] holds its end instant; a longer range is
+    # covered only up to where the spans reach
+    assert store.is_covered("steve", "sleep", at(10)[0])
+    assert store.is_covered("steve", "sleep", TimeRange(T0, T0 + timedelta(seconds=10)))
+    assert not store.is_covered("steve", "sleep", TimeRange(T0, T0 + timedelta(seconds=11)))

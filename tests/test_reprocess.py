@@ -227,3 +227,32 @@ def test_provenance_forced_to_reprocessed(tmp_path):
     evs = store.activities(name="walk", subject="ifrah")
     assert evs and all(e.provenance == "reprocessed" for e in evs)
     store.close()
+
+
+def test_reprocess_skips_sightings_already_held(tmp_path):
+    store, gt = scenario_without_activity_records(tmp_path)
+    window = _window(gt)
+    request = run_query(f'DID activity="walk" subject="ifrah" {window}', store).request
+    held = {(d.frame_id, d.label, d.kind) for _seq, d in store.detections_from(0)}
+    assert {f for f, _label, _kind in held} & set(request.frame_ids)  # revisits sightings
+
+    def answers():
+        return [answer_to_json(run_query(q, store)) for q in (
+            f'DID activity="walk" subject="ifrah" {window}',
+            f'PRESENT person="ifrah" {window}',
+            'LAST_SEEN person="ifrah"')]
+
+    returned = list(OracleReprocessor(gt)(request.frame_ids))
+    dets = [r for r in returned if isinstance(r, Detection)]
+    first = run_reprocess(store, request, OracleReprocessor(gt))
+    fresh = {(d.frame_id, d.label, d.kind) for d in dets} - held
+    assert first.records_added == len(fresh) + len(returned) - len(dets)
+    count, before = store.detection_count(), answers()
+
+    second = run_reprocess(store, request, OracleReprocessor(gt))
+    assert second.records_added == len(returned) - len(dets)  # no detection
+    assert store.detection_count() == count
+    assert answers() == before
+    frames = [h.frame_id for h in store.find_by_label("ifrah", kind="person")]
+    assert len(frames) == len(set(frames))
+    store.close()

@@ -31,6 +31,8 @@ from .model import (
 )
 from .store import Store
 
+MAX_ERRORS = 100  # error messages an IngestReport keeps; `rejected` counts them all
+
 
 def parse_feed_line(line: str, line_no: int = 0) -> FeedRecord:
     """Decode one feed line into a typed record. Raises ParseError on bad
@@ -134,7 +136,8 @@ def ingest_stream(source: Iterable[FeedRecord], store: Store) -> IngestReport:
                     report.activities += 1
             except (InvalidRecord, OutOfOrderFrame) as e:
                 report.rejected += 1
-                report.errors.append(str(e))
+                if len(report.errors) < MAX_ERRORS:
+                    report.errors.append(str(e))
         store.flush()
     report.elapsed_seconds = time.perf_counter() - t0
     report.rate_fps = report.frames / report.elapsed_seconds if report.elapsed_seconds > 0 else 0.0

@@ -254,7 +254,7 @@ def _exec_last_seen(ast: LastSeen, store: Store, policy: RefinePolicy,
     if hit.coarse:
         return LocationAnswer(loc=hit.loc, ts=hit.ts, frame_id=hit.frame_id,
                               confidence=hit.detection.confidence, coarse=True)
-    track = store.track_for(ast.label, hit.frame_id)
+    track = store.track_for(ast.label, ast.kind, hit.frame_id)
     if track is not None:
         anchor = now if now is not None else hit.ts
         return LocationAnswer(loc=track.loc, ts=hit.ts, frame_id=hit.frame_id,

@@ -1,15 +1,15 @@
 """Background refinement: turns raw detections into fused tracks.
 
 A refinement pass walks detections the store has not yet attributed,
-associates each with an open track (same label, recent enough, close enough
-in Mahalanobis terms) or starts a new one, fuses the observation into the
-track's location estimate, and maintains presence intervals and an
-existence probability per track.
+associates each with an open track (same label and kind, recent enough,
+close enough in Mahalanobis terms) or starts a new one, fuses the
+observation into the track's location estimate, and maintains presence
+intervals and an existence probability per track.
 
 A pass costs what its detections touch, not what the store holds: each
-detection is offered only the same-label tracks last seen within the
-association gap before it, found by bisecting a per-label list sorted by
-last sighting, and only tracks that changed are rebuilt and re-encoded.
+detection is offered only the same-(label, kind) tracks last seen within
+the association gap before it, found by bisecting a per-(label, kind) list
+sorted by last sighting, and only tracks that changed are rebuilt.
 """
 
 from __future__ import annotations
@@ -134,13 +134,13 @@ def associate(d: Detection, fm: FrameMeta, open_tracks: list[_OpenTrack],
     """Pick the track a detection belongs to.
 
     Returns (track_id, matched_track_or_None, distance). Candidates must share
-    the label, have been seen within assoc_max_gap_s, and gate in by
+    the label and kind, have been seen within assoc_max_gap_s, and gate in by
     Mahalanobis distance; ties break on (distance, track_id).
     """
     obs = observation_from_detection(d, fm, policy)
     best: Optional[tuple[float, int, _OpenTrack]] = None
     for t in open_tracks:
-        if t.label != d.label:
+        if t.label != d.label or t.kind != d.kind:
             continue
         gap = (fm.ts - t.last_ts).total_seconds()
         if gap < 0 or gap > policy.assoc_max_gap_s:
@@ -180,11 +180,11 @@ def run_refinement_pass(store, policy: RefinePolicy = RefinePolicy()) -> Refinem
     Idempotent: an immediate second pass reports all zeros. Determinism: the
     store's detection append order plus the policy fully decide assignments.
 
-    Each detection is handed only the same-label tracks whose last sighting
-    lies in [ts - assoc_max_gap_s, ts], widened by 1 us on each side so the
-    window is a superset of what associate's gate admits. The window is a
-    query, not a retirement rule: a reprocessed detection for an old frame
-    still finds the tracks that were live at that time.
+    Each detection is handed only the same-(label, kind) tracks whose last
+    sighting lies in [ts - assoc_max_gap_s, ts], widened by 1 us on each side
+    so the window is a superset of what associate's gate admits. The window
+    is a query, not a retirement rule: a reprocessed detection for an old
+    frame still finds the tracks that were live at that time.
     """
     policy.validate()
     report = RefinementReport()
@@ -196,10 +196,10 @@ def run_refinement_pass(store, policy: RefinePolicy = RefinePolicy()) -> Refinem
     if not pending:
         return report
 
-    # label -> [(last_ts, track_id, position)] sorted by last sighting
-    windows: dict[str, list[tuple[datetime, int, int]]] = {}
+    # (label, kind) -> [(last_ts, track_id, position)] sorted by last sighting
+    windows: dict[tuple[str, str], list[tuple[datetime, int, int]]] = {}
     for pos, t in enumerate(tracks):
-        windows.setdefault(t.label, []).append((t.last_seen, t.track_id, pos))
+        windows.setdefault((t.label, t.kind), []).append((t.last_seen, t.track_id, pos))
     for entries in windows.values():
         entries.sort()
     opened: dict[int, _OpenTrack] = {}  # position -> working state, built on demand
@@ -216,7 +216,7 @@ def run_refinement_pass(store, policy: RefinePolicy = RefinePolicy()) -> Refinem
     with store.writer_role("refine"):
         for seq, det in pending:
             fm = store.frame_by_id(det.frame_id)
-            entries = windows.setdefault(det.label, [])
+            entries = windows.setdefault((det.label, det.kind), [])
             lo = bisect_left(entries, (fm.ts - gap,))
             hi = bisect_left(entries, (fm.ts + tick,))
             window = [candidate(pos) for _ts, _tid, pos in entries[lo:hi]]

@@ -11,7 +11,7 @@ new records into tracks. A misbehaving reprocessor leaves the store untouched.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import ReprocessorFailure
@@ -79,10 +79,7 @@ def _validate_returned(records, request: ReprocessRequest, store) -> list:
                 raise ReprocessorFailure(
                     f"detection references unrequested frame {rec.frame_id}")
         elif isinstance(rec, ActivityEvent):
-            if rec.provenance != PROVENANCE_REPROCESSED:
-                rec = ActivityEvent(subject=rec.subject, name=rec.name,
-                                    start=rec.start, end=rec.end, loc=rec.loc,
-                                    prob=rec.prob, provenance=PROVENANCE_REPROCESSED)
+            rec = replace(rec, provenance=PROVENANCE_REPROCESSED)
             if not requested or rec.start < lo or rec.end > hi:
                 raise ReprocessorFailure(
                     f"activity {rec.name!r} spans outside the requested frames")
@@ -100,7 +97,8 @@ def run_reprocess(store, request: ReprocessRequest, reprocessor: Reprocessor,
     Every returned record is validated before anything is appended, so a
     failure leaves query answers bit-identical to before. A detection whose
     (frame, label, kind) the store already holds, from before or earlier in
-    the batch, is skipped: it is the same sighting, not new evidence.
+    the batch, is skipped: it is the same sighting, not new evidence. So is
+    an activity event whose (subject, name, start, end) is already held.
     """
     report = ReprocessReport()
     try:
@@ -111,10 +109,17 @@ def run_reprocess(store, request: ReprocessRequest, reprocessor: Reprocessor,
         raise ReprocessorFailure(f"reprocessor raised {type(e).__name__}: {e}") from e
     staged = _validate_returned(returned, request, store)
 
+    events = {(e.subject, e.name, e.start, e.end) for e in store.activities()}
     with store.writer_role("reprocess"):
         for rec in staged:
-            if isinstance(rec, Detection) and store.has_sighting(rec.frame_id, rec.label, rec.kind):
-                continue
+            if isinstance(rec, Detection):
+                if store.has_sighting(rec.frame_id, rec.label, rec.kind):
+                    continue
+            else:
+                key = (rec.subject, rec.name, rec.start, rec.end)
+                if key in events:
+                    continue
+                events.add(key)
             store.append(rec)
             report.records_added += 1
         q = request.query

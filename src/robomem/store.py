@@ -6,7 +6,11 @@ On-disk layout under the store root:
                       tier boundaries. Written atomically (tmp + rename).
     segments/NNNN.seg append-only binary record log (source of truth)
     summaries.json    warm (hourly) and cold (daily) tier summaries
-    tracks.json       refinement state (cursor + fused tracks)
+    tracks.json       refinement state: cursor, next track id and one flat
+                      row per track, [track_id, label, kind, mean_x, mean_y,
+                      c00, c01, c10, c11, observation_count, existence_prob,
+                      miss_prob, [[start_us, end_us, first_frame, last_frame],
+                      ...]]. Written at a flush only when the state changed.
     coverage.json     which (subject, activity, range) triples were analyzed
     lock              writer lock, held with flock by the writing process
 
@@ -23,6 +27,8 @@ written:
     detections        Detection objects in append order (seq = index)
     postings          (label, kind) -> [(frame position, seq)], sorted
     activities        ActivityEvent objects in append order
+    tracks            Track objects. Open reads tracks.json, so a snapshot
+                      matches its segments, but decodes its rows on first use.
 
 Appends buffer in memory and become durable at flush(); a crash before flush
 loses only unflushed records. Readers load a consistent snapshot at open and
@@ -70,7 +76,7 @@ from .model import (
 )
 from .refine import fuse, observation_from_detection
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DEFAULT_SEGMENT_RECORDS = 8192
 
 HOUR_US = 3_600_000_000
@@ -251,10 +257,13 @@ class Store:
         self._label_summaries: list[LabelSummary] = []
         self._activity_summaries: list[ActivitySummary] = []
         self._coverage: list[dict] = []
-        self._refine_state: Optional[dict] = None
-        self._track_cache: Optional[list[Track]] = None  # decoded _refine_state tracks
-        # label -> interval spans of its tracks, built on demand (_track_spans_of)
-        self._track_spans: dict[str, tuple[list[tuple[int, int, int]], list[int]]] = {}
+        self._refine_cursor = 0                 # detections refined so far
+        self._next_track_id = 0
+        self._tracks: list[Track] = []
+        self._track_rows: Optional[list] = None  # tracks.json rows until first decoded
+        self._refine_changed = False            # tracks.json is behind the state
+        # (label, kind) -> interval spans of its tracks, built on demand (_track_spans_of)
+        self._track_spans: dict[tuple[str, str], tuple[list[tuple[int, int, int]], list[int]]] = {}
 
         self._lock_fd: Optional[int] = None
         self._active_role: Optional[str] = None
@@ -283,9 +292,9 @@ class Store:
             raise FileNotFoundError(f"not a store: {root}")
         with open(manifest_path, "rb") as fh:
             manifest = json.load(fh)
-        if manifest["version"] > FORMAT_VERSION:
+        if manifest["version"] != FORMAT_VERSION:
             raise StoreVersionError(
-                f"store version {manifest['version']} newer than supported {FORMAT_VERSION}")
+                f"store version {manifest['version']} is not the supported version {FORMAT_VERSION}")
         store = cls(root, mode)
         store._segment_max = manifest.get("segment_max_records", DEFAULT_SEGMENT_RECORDS)
         store._next_segment_no = manifest.get("next_segment_no", 0)
@@ -350,7 +359,10 @@ class Store:
         p = os.path.join(self.root, "tracks.json")
         if os.path.exists(p):
             with open(p, "rb") as fh:
-                self._refine_state = json.load(fh)
+                state = json.load(fh)
+            self._refine_cursor = state["cursor"]
+            self._next_track_id = state["next_track_id"]
+            self._track_rows = state["tracks"]
 
     # --------------------------------------------------------------- indexing
 
@@ -438,8 +450,13 @@ class Store:
             })
         if self._coverage:
             _atomic_write_json(os.path.join(self.root, "coverage.json"), self._coverage)
-        if self._refine_state is not None:
-            _atomic_write_json(os.path.join(self.root, "tracks.json"), self._refine_state)
+        if self._refine_changed:
+            _atomic_write_json(os.path.join(self.root, "tracks.json"), {
+                "cursor": self._refine_cursor,
+                "next_track_id": self._next_track_id,
+                "tracks": [_track_to_row(t) for t in self.tracks()],
+            })
+            self._refine_changed = False
 
     def close(self, flush: bool = True) -> None:
         if self._closed:
@@ -669,73 +686,62 @@ class Store:
 
     # ------------------------------------------------------------ refinement
 
-    def _decoded_tracks(self) -> list[Track]:
-        if self._refine_state is None:
-            return []
-        if self._track_cache is None:
-            self._track_cache = [_track_from_json(t) for t in self._refine_state["tracks"]]
-        return self._track_cache
-
     def load_refine_state(self) -> dict:
-        if self._refine_state is None:
-            return {"cursor": 0, "next_track_id": 0, "tracks": []}
         return {
-            "cursor": self._refine_state["cursor"],
-            "next_track_id": self._refine_state["next_track_id"],
-            "tracks": list(self._decoded_tracks()),
+            "cursor": self._refine_cursor,
+            "next_track_id": self._next_track_id,
+            "tracks": self.tracks(),
         }
 
     def save_refine_state(self, state: dict) -> None:
         """Replace the refinement state; it becomes durable at the next flush.
 
-        A track that is the very object cached at its position is unchanged
-        and keeps its encoded form; only the others are encoded again. The
-        spans track_for has built move with the changed tracks when tracks
-        only change in place or are appended, as a refinement pass does;
-        any other change drops them.
+        A track that is the very object held at its position is unchanged.
+        The spans track_for has built move with the changed tracks when
+        tracks only change in place or are appended, as a refinement pass
+        does; any other change drops them.
         """
         if self.mode != "rw":
             raise ReadOnlyStore("store opened read-only")
         tracks = list(state["tracks"])
-        cache = self._track_cache or []
-        encoded = self._refine_state["tracks"] if cache else []
+        held = self.tracks()
         spans = self._track_spans
-        keep_spans = len(tracks) >= len(cache)
+        keep_spans = len(tracks) >= len(held)
         moved = set()
-        out = []
         for i, t in enumerate(tracks):
-            old = cache[i] if i < len(cache) else None
+            old = held[i] if i < len(held) else None
             if old is t:
-                out.append(encoded[i])
                 continue
-            out.append(_track_to_json(t))
-            if old is not None and old.label != t.label:
+            key = (t.label, t.kind)
+            if old is not None and (old.label, old.kind) != key:
                 keep_spans = False
-            elif keep_spans and t.label in spans:
-                _move_spans(spans[t.label][0], old, t, i)
-                moved.add(t.label)
-        self._refine_state = {
-            "cursor": state["cursor"],
-            "next_track_id": state["next_track_id"],
-            "tracks": out,
-        }
-        self._track_cache = tracks
+            elif keep_spans and key in spans:
+                _move_spans(spans[key][0], old, t, i)
+                moved.add(key)
+        self._refine_cursor = state["cursor"]
+        self._next_track_id = state["next_track_id"]
+        self._tracks = tracks
+        self._refine_changed = True
         if keep_spans:
-            for label in moved:
-                spans[label] = (spans[label][0], _reach(spans[label][0]))
+            for key in moved:
+                spans[key] = (spans[key][0], _reach(spans[key][0]))
         else:
             self._track_spans = {}
 
     def tracks(self) -> list[Track]:
-        return self.load_refine_state()["tracks"]
+        """A copy of the track list; the rows read at open are decoded on first use."""
+        if self._track_rows is not None:
+            self._tracks = [_track_from_row(r) for r in self._track_rows]
+            self._track_rows = None
+        return list(self._tracks)
 
-    def track_for(self, label: str, frame_id: int) -> Optional[Track]:
-        """The track whose presence intervals include this sighting frame; the
-        first such track in track order when intervals of several overlap.
+    def track_for(self, label: str, kind: str, frame_id: int) -> Optional[Track]:
+        """The (label, kind) track whose presence intervals include this sighting
+        frame; the first such track in track order when intervals of several overlap.
 
-        Bisects the label's spans for those starting at or before the frame
-        and walks them back only while one of them can still reach it."""
-        spans, reach = self._track_spans_of(label)
+        Bisects the (label, kind) spans for those starting at or before the
+        frame and walks them back only while one of them can still reach it."""
+        spans, reach = self._track_spans_of((label, kind))
         best = -1
         i = bisect_right(spans, frame_id, key=_FIRST) - 1
         while i >= 0 and reach[i] >= frame_id:
@@ -743,17 +749,17 @@ class Store:
             if last >= frame_id and (best < 0 or pos < best):
                 best = pos
             i -= 1
-        return self._track_cache[best] if best >= 0 else None
+        return self._tracks[best] if best >= 0 else None
 
-    def _track_spans_of(self, label: str) -> tuple[list[tuple[int, int, int]], list[int]]:
-        """The label's track intervals as (first frame, last frame, track
-        position), sorted, and the running maximum of their last frames."""
-        out = self._track_spans.get(label)
+    def _track_spans_of(self, key: tuple[str, str]) -> tuple[list[tuple[int, int, int]], list[int]]:
+        """The (label, kind) track intervals as (first frame, last frame,
+        track position), sorted, and the running maximum of their last frames."""
+        out = self._track_spans.get(key)
         if out is None:
             spans = sorted((iv.first_frame, iv.last_frame, pos)
-                           for pos, t in enumerate(self._decoded_tracks()) if t.label == label
+                           for pos, t in enumerate(self.tracks()) if (t.label, t.kind) == key
                            for iv in t.intervals)
-            out = self._track_spans[label] = (spans, _reach(spans))
+            out = self._track_spans[key] = (spans, _reach(spans))
         return out
 
     # ------------------------------------------------------------- migration
@@ -836,11 +842,10 @@ class Store:
                 raise CorruptSegment("migration count mismatch")
 
             if migrated or report.activities_migrated:
-                self._track_spans = {}
-                if self._refine_state is not None:
-                    cursor = self._refine_state["cursor"]
-                    self._refine_state = dict(self._refine_state, cursor=sum(
-                        1 for seq, _ in keep_detections if seq < cursor))
+                cursor = sum(1 for seq, _ in keep_detections if seq < self._refine_cursor)
+                if cursor != self._refine_cursor:
+                    self._refine_cursor = cursor
+                    self._refine_changed = True
                 self._rewrite_segments([d for _, d in keep_detections], keep_activities)
             else:
                 self._write_sidecars()
@@ -978,7 +983,7 @@ class Store:
             bytes_on_disk=nbytes,
             frames=frames,
             detections=len(self._detections),
-            tracks=len(self._decoded_tracks()),
+            tracks=len(self.tracks()),
             bytes_per_frame=nbytes / max(frames, 1),
         )
 
@@ -1000,28 +1005,23 @@ def _reach(spans: list[tuple[int, int, int]]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# track (de)serialization for tracks.json
+# track (de)serialization: one flat row per track in tracks.json
 
-def _track_to_json(t: Track) -> dict:
-    return {
-        "track_id": t.track_id, "label": t.label, "kind": t.kind,
-        "loc": loc_to_json(t.loc),
-        "intervals": [[ts_to_micros(iv.start), ts_to_micros(iv.end),
-                       iv.first_frame, iv.last_frame] for iv in t.intervals],
-        "observation_count": t.observation_count,
-        "existence_prob": t.existence_prob,
-        "miss_prob": t.miss_prob,
-    }
+def _track_to_row(t: Track) -> list:
+    (c00, c01), (c10, c11) = t.loc.cov
+    return [t.track_id, t.label, t.kind, t.loc.mean[0], t.loc.mean[1], c00, c01, c10, c11,
+            t.observation_count, t.existence_prob, t.miss_prob,
+            [[ts_to_micros(iv.start), ts_to_micros(iv.end), iv.first_frame, iv.last_frame]
+             for iv in t.intervals]]
 
 
-def _track_from_json(d: dict) -> Track:
+def _track_from_row(row: list) -> Track:
+    track_id, label, kind, mx, my, c00, c01, c10, c11, n, existence, miss, intervals = row
     return Track(
-        track_id=d["track_id"], label=d["label"], kind=d["kind"],
-        loc=loc_from_json(d["loc"]),
+        track_id=track_id, label=label, kind=kind,
+        loc=LocationEstimate(mean=(mx, my), cov=((c00, c01), (c10, c11))),
         intervals=tuple(Interval(start=ts_from_micros(a), end=ts_from_micros(b),
                                  first_frame=f0, last_frame=f1)
-                        for a, b, f0, f1 in d["intervals"]),
-        observation_count=d["observation_count"],
-        existence_prob=d["existence_prob"],
-        miss_prob=d["miss_prob"],
+                        for a, b, f0, f1 in intervals),
+        observation_count=n, existence_prob=existence, miss_prob=miss,
     )

@@ -79,7 +79,7 @@ def brute_tracks(st: FeedState, policy: RefinePolicy) -> list[BruteTrack]:
         obs_cov = np.eye(2) * s2
         best = None
         for t in tracks:
-            if t.label != det.label:
+            if t.label != det.label or t.kind != det.kind:
                 continue
             gap = (fm.ts - t.last_ts).total_seconds()
             if gap < 0 or gap > policy.assoc_max_gap_s:
@@ -115,9 +115,9 @@ def brute_tracks(st: FeedState, policy: RefinePolicy) -> list[BruteTrack]:
     return tracks
 
 
-def track_containing(tracks: list[BruteTrack], label: str, frame_id: int):
+def track_containing(tracks: list[BruteTrack], label: str, kind: str, frame_id: int):
     for t in tracks:
-        if t.label != label:
+        if t.label != label or t.kind != kind:
             continue
         for _s, _e, f0, f1 in t.intervals:
             if f0 <= frame_id <= f1:
@@ -137,7 +137,7 @@ def brute_last_seen(st: FeedState, kind: str, label: str, policy: RefinePolicy,
     ts, frame_id, det = max(hits, key=lambda h: (ts_to_micros(h[0]), h[1]))
     if tracks is None:
         tracks = brute_tracks(st, policy)
-    t = track_containing(tracks, label, frame_id)
+    t = track_containing(tracks, label, kind, frame_id)
     assert t is not None
     return {
         "answer": "location",

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from robomem.errors import ParseError
-from robomem.ingest import ingest_stream, parse_feed_line, read_feed, write_feed
+from robomem.ingest import MAX_ERRORS, ingest_stream, parse_feed_line, read_feed, write_feed
 from robomem.model import ActivityEvent, Detection, FrameMeta, Pose, ts_parse
 from robomem.scenario import ScenarioConfig, generate_scenario
 from robomem.store import Store
@@ -76,6 +76,13 @@ def test_detection_before_frame_rejected(store):
     report = ingest_stream(iter(recs), store)
     assert report.rejected == 1
     assert report.detections == 0
+
+
+def test_error_messages_are_capped(store):
+    recs = [Detection(f, "remote", "object", 0.9) for f in range(250)]
+    report = ingest_stream(iter(recs), store)
+    assert report.rejected == 250
+    assert len(report.errors) == MAX_ERRORS == 100
 
 
 def test_scenario_determinism(tmp_path):

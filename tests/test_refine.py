@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from robomem.errors import NonSPDCovariance
 from robomem.ingest import ingest_stream
 from robomem.model import (
+    KINDS,
     Detection,
     FrameMeta,
     Interval,
@@ -17,6 +18,7 @@ from robomem.model import (
     mat2_eigvals,
     ts_parse,
 )
+from robomem.query import run_query
 from robomem.refine import (
     RefinePolicy,
     existence_probability,
@@ -310,6 +312,20 @@ def test_state_carried_across_passes_and_reopen(tmp_path):
     s.close()
 
 
+def test_tracks_keep_kinds_apart(store):
+    # a person and an object that share a label never fuse: the object "max"
+    # is last seen where its own two sightings put it, not on the person's track
+    for f in range(10):
+        store.append(FrameMeta(f, T0 + f * timedelta(seconds=0.5), Pose(float(f), 0.0)))
+        store.append(Detection(f, "max", "person" if f < 8 else "object", 1.0))
+    store.flush()
+    run_refinement_pass(store)
+    assert [(t.kind, t.observation_count) for t in store.tracks()] == [("person", 8), ("object", 2)]
+    answer = run_query('LAST_SEEN object="max"', store)
+    assert answer.loc.mean[0] == pytest.approx(8.5)
+    assert run_query('LAST_SEEN person="max"', store).loc.mean[0] == pytest.approx(3.5)
+
+
 # ---------------------------------------------------------------------------
 # existence probability
 
@@ -361,23 +377,25 @@ def test_fused_mean_converges_on_static_object(store):
 # ---------------------------------------------------------------------------
 # track_for against a scan of every track and interval
 
-def brute_track_for(tracks, label, frame_id):
+def brute_track_for(tracks, label, kind, frame_id):
     for t in tracks:
-        if t.label == label and any(iv.first_frame <= frame_id <= iv.last_frame
-                                    for iv in t.intervals):
+        if (t.label, t.kind) == (label, kind) and any(
+                iv.first_frame <= frame_id <= iv.last_frame for iv in t.intervals):
             return t
     return None
 
 
 def _assert_track_for_matches_scan(store, records):
     tracks = store.tracks()
-    sightings = {(r.label, r.frame_id) for r in records if isinstance(r, Detection)}
-    for label, frame_id in sorted(sightings):
-        assert store.track_for(label, frame_id) is brute_track_for(tracks, label, frame_id)
-    # between sightings and past both ends too
-    for label in {label for label, _ in sightings}:
-        for frame_id in range(-1, store.max_frame_id + 2):
-            assert store.track_for(label, frame_id) is brute_track_for(tracks, label, frame_id)
+    sightings = {(r.label, r.kind, r.frame_id) for r in records if isinstance(r, Detection)}
+    for label, kind, frame_id in sorted(sightings):
+        assert store.track_for(label, kind, frame_id) is brute_track_for(tracks, label, kind, frame_id)
+    # between sightings, past both ends and for the other kind too
+    for label in {label for label, _, _ in sightings}:
+        for kind in KINDS:
+            for frame_id in range(-1, store.max_frame_id + 2):
+                assert store.track_for(label, kind, frame_id) is \
+                    brute_track_for(tracks, label, kind, frame_id)
     return len(sightings)
 
 
@@ -406,10 +424,10 @@ def test_track_for_first_track_wins_on_overlap(store):
     for f in range(21):
         store.append(FrameMeta(f, T0 + timedelta(seconds=f), Pose(0.0, 0.0)))
 
-    def track(tid, label, *spans):
+    def track(tid, label, *spans, kind="object"):
         ivs = tuple(Interval(start=T0 + timedelta(seconds=a), end=T0 + timedelta(seconds=b),
                              first_frame=a, last_frame=b) for a, b in spans)
-        return Track(track_id=tid, label=label, kind="object", loc=at(0.0, 0.0),
+        return Track(track_id=tid, label=label, kind=kind, loc=at(0.0, 0.0),
                      intervals=ivs, observation_count=len(ivs), existence_prob=0.5,
                      miss_prob=0.5)
 
@@ -419,15 +437,24 @@ def test_track_for_first_track_wins_on_overlap(store):
     d = track(3, "cup", (12, 12), (17, 18))
     e = track(6, "cup", (16, 19))
     b2 = track(1, "cup", (0, 7), (9, 16))
+    p = track(7, "cup", (3, 14), kind="person")
+    p2 = track(7, "cup", (3, 17), kind="person")
     # reordered, then appended to and changed in place as a refinement pass
-    # does, then cut short
-    states = ([a, b, c, d], [b, a, d, c], [d, c, b, a], [d, c, b, a, e], [d, c, b2, a, e], [c])
+    # does, then a position changing kind, then cut short
+    states = ([a, b, c, d], [b, a, d, c], [d, c, b, a], [d, c, b, a, e], [d, c, b2, a, e],
+              [d, c, b2, a, e, p], [d, c, b2, a, e, p2], [d, c, b2, p2, e, a], [c])
     for tracks in states:
-        store.save_refine_state({"cursor": 0, "next_track_id": 7, "tracks": tracks})
+        store.save_refine_state({"cursor": 0, "next_track_id": 8, "tracks": tracks})
         for label in ("cup", "book", "mug"):
-            for f in range(-1, 22):
-                assert store.track_for(label, f) is brute_track_for(tracks, label, f)
+            for kind in KINDS:
+                for f in range(-1, 22):
+                    assert store.track_for(label, kind, f) is \
+                        brute_track_for(tracks, label, kind, f)
         if tracks is states[2]:
-            assert store.track_for("cup", 12) is d  # d comes first, b also holds 12
-            assert store.track_for("cup", 6) is b and store.track_for("cup", 8) is a
-            assert store.track_for("cup", 16) is None
+            assert store.track_for("cup", "object", 12) is d  # d comes first, b also holds 12
+            assert store.track_for("cup", "object", 6) is b
+            assert store.track_for("cup", "object", 8) is a
+            assert store.track_for("cup", "object", 16) is None
+            assert store.track_for("cup", "person", 6) is None
+        if tracks is states[5]:
+            assert store.track_for("cup", "person", 12) is p

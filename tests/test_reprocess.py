@@ -249,10 +249,26 @@ def test_reprocess_skips_sightings_already_held(tmp_path):
     assert first.records_added == len(fresh) + len(returned) - len(dets)
     count, before = store.detection_count(), answers()
 
+    events = len(store.activities())
     second = run_reprocess(store, request, OracleReprocessor(gt))
-    assert second.records_added == len(returned) - len(dets)  # no detection
+    assert second.records_added == 0  # no detection and no activity event
     assert store.detection_count() == count
+    assert len(store.activities()) == events
     assert answers() == before
     frames = [h.frame_id for h in store.find_by_label("ifrah", kind="person")]
     assert len(frames) == len(set(frames))
+    store.close()
+
+
+def test_reprocess_skips_activity_events_already_held(tmp_path):
+    # the worker returns every activity in the selected frames, whatever was
+    # asked: a second escalation over the same range returns the walk again
+    store, gt = scenario_without_activity_records(tmp_path)
+    window = _window(gt)
+    for activity in ("walk", "juggle"):
+        answer = run_query(f'DID activity="{activity}" subject="ifrah" {window}', store)
+        run_reprocess(store, answer.request, OracleReprocessor(gt))
+    assert len(store.activities(name="walk")) == 1
+    duration = run_query(f'DURATION activity="walk" subject="ifrah" {window}', store)
+    assert duration.total_seconds == pytest.approx(55.33, abs=0.01)
     store.close()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -16,6 +17,7 @@ from robomem.ingest import ingest_stream
 from robomem.model import (
     Detection,
     FrameMeta,
+    LocationEstimate,
     Pose,
     TimeRange,
     ts_parse,
@@ -25,7 +27,7 @@ from robomem.query import run_query
 from robomem.refine import run_refinement_pass
 from robomem.scenario import generate_scenario
 from robomem.segment import decode_payload, encode_record
-from robomem.store import Store, TierPolicy
+from robomem.store import FORMAT_VERSION, Store, TierPolicy
 
 from conftest import small_scenario
 from oracle import canonicalize
@@ -104,16 +106,19 @@ def test_killed_writer_releases_lock(tmp_path, death):
 
 
 def test_newer_version_refused(tmp_path, store):
+    # a newer store, and a version-1 store with the old tracks.json, are
+    # both refused; nothing converts them
     store.close()
-    import json
     p = os.path.join(store.root, "manifest.json")
     with open(p) as fh:
         m = json.load(fh)
-    m["version"] = 99
-    with open(p, "w") as fh:
-        json.dump(m, fh)
-    with pytest.raises(StoreVersionError):
-        Store.open(store.root)
+    for version in (99, 1):
+        m["version"] = version
+        with open(p, "w") as fh:
+            json.dump(m, fh)
+        with pytest.raises(StoreVersionError) as ei:
+            Store.open(store.root)
+        assert str(version) in str(ei.value) and str(FORMAT_VERSION) in str(ei.value)
 
 
 def test_find_by_label_matches_linear_scan(populated):
@@ -389,6 +394,62 @@ def test_open_builds_no_frame_objects(populated, monkeypatch):
     reopened.close()
 
 
+def test_tracks_held_once(populated):
+    store, _gt, _records = populated
+    run_refinement_pass(store)
+    store.flush()
+    reopened = Store.open(store.root, mode="ro")
+    n = len(reopened.tracks())
+    assert n > 0
+
+    def per_track(v):
+        return isinstance(v, (list, tuple)) and len(v) == n
+    holders = [name for name, v in vars(reopened).items()
+               if per_track(v) or isinstance(v, dict) and any(map(per_track, v.values()))]
+    assert holders == ["_tracks"]  # the decoded tracks, and no tracks.json rows
+    reopened.close()
+
+
+def test_refine_state_survives_reopen_exactly(populated):
+    store, _gt, _records = populated
+    run_refinement_pass(store)
+    state = store.load_refine_state()
+    t = state["tracks"][0]
+    (c00, c01), (_c10, c11) = t.loc.cov
+    # fusion keeps the covariance symmetric; a saved one need only be so
+    # within the SPD tolerance, and both off-diagonal entries survive
+    skewed = dataclasses.replace(t, track_id=state["next_track_id"], loc=LocationEstimate(
+        mean=t.loc.mean, cov=((c00, c01), (c01 + 1e-10, c11))))
+    skewed.loc.require_spd()
+    state = {"cursor": state["cursor"], "next_track_id": state["next_track_id"] + 1,
+             "tracks": state["tracks"] + [skewed]}
+    store.save_refine_state(state)
+    store.flush()
+    reopened = Store.open(store.root, mode="ro")
+    assert reopened.load_refine_state() == state
+    assert reopened.tracks()[-1].loc.cov[1][0] == c01 + 1e-10 != c01
+    reopened.close()
+
+
+def test_flush_writes_tracks_json_only_when_changed(populated):
+    store, _gt, _records = populated
+    path = os.path.join(store.root, "tracks.json")
+    store.flush()
+    assert not os.path.exists(path)  # nothing refined, nothing to write
+    run_refinement_pass(store)
+    store.flush()
+    inode = os.stat(path).st_ino  # an atomic rewrite replaces the inode
+    store.flush()
+    assert run_refinement_pass(store).observations_fused == 0
+    store.flush()
+    assert os.stat(path).st_ino == inode
+    store.close()
+    reopened = Store.open(store.root, mode="rw")
+    reopened.flush()
+    assert os.stat(path).st_ino == inode
+    reopened.close()
+
+
 # ---------------------------------------------------------------------------
 # tier migration
 
@@ -454,6 +515,9 @@ def test_migration_keeps_refinement_going(tmp_path):
     report = s.migrate_tiers(frames[0].ts + timedelta(seconds=30) + policy.hot_window, policy)
     assert 0 < report.detections_migrated < s.detection_count() + report.detections_migrated
     assert s.load_refine_state()["cursor"] == s.detection_count()
+    snapshot = Store.open(s.root, mode="ro")  # the rebased cursor was written
+    assert snapshot.load_refine_state()["cursor"] == s.detection_count()
+    snapshot.close()
 
     new = sum(isinstance(r, Detection) for r in rest)
     ingest_stream(iter(rest), s)

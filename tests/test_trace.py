@@ -1,15 +1,19 @@
-"""The traced benchmark's hooks stay reachable from run_query.
+"""The traced benchmark's hooks stay reachable from the program.
 
 perfbench's traced mode wraps `query.parse_query`, `query.plan_query` and
 `query.execute_plan` by name and names each execute span after the plan's
-AST type. A query path that stopped calling those names would leave the
-per-layer metrics empty without failing anything else.
+AST type; it also wraps store, segment, ingest and refine functions by name
+and reports every metric of `layers.COMMON` for every workload. A call path
+that stopped reaching those names would leave per-layer metrics missing,
+which the benchmark's traced run reports only as a KeyError.
 """
 
+import io
 import os
 import sys
 
-from robomem.ingest import ingest_stream
+from robomem import refine
+from robomem.ingest import ingest_stream, read_feed, write_feed
 from robomem.query import run_query
 from robomem.scenario import generate_scenario
 from robomem.store import Store
@@ -46,3 +50,30 @@ def test_run_query_reaches_traced_names(tmp_path):
         assert "query.execute." + t in names
     for m in ("query.plan_us", "query.parse_us", "query.execute_us"):
         assert m in metrics
+
+
+def test_traced_round_reports_every_common_metric(tmp_path):
+    gt, records = generate_scenario(small_scenario(minutes=2.0))
+    buf = io.StringIO()
+    write_feed(buf, records)
+    lines = buf.getvalue().splitlines()
+    b = gt.range()
+    window = f"FROM {b.start:%Y-%m-%dT%H:%M:%SZ} TO {b.end:%Y-%m-%dT%H:%M:%SZ}"
+    root = str(tmp_path / "store")
+    tracer = spans.Tracer()
+    try:
+        layers.install(tracer)
+        store = Store.create(root)
+        ingest_stream(read_feed(lines), store)
+        refine.run_refinement_pass(store)  # through the module, where it is wrapped
+        store.flush()
+        store.close()
+        store = Store.open(root, mode="ro")
+        run_query('LAST_SEEN person="ifrah"', store)
+        run_query(f'PRESENT person="ifrah" {window}', store)
+        tracks = store.stats().tracks  # stats, not tracks(): only the pass may reach load_refine_state
+        store.close()
+        metrics = layers.metrics(tracer, tracks)
+    finally:
+        tracer.unwrap_all()
+    assert sorted(set(layers.COMMON) - set(metrics)) == []

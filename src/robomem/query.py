@@ -253,7 +253,7 @@ def _exec_last_seen(ast: LastSeen, store: Store, policy: RefinePolicy,
     hit = hits[0]
     if hit.coarse:
         return LocationAnswer(loc=hit.loc, ts=hit.ts, frame_id=hit.frame_id,
-                              confidence=hit.detection.confidence, coarse=True)
+                              confidence=hit.confidence, coarse=True)
     track = store.track_for(ast.label, ast.kind, hit.frame_id)
     if track is not None:
         anchor = now if now is not None else hit.ts
@@ -261,14 +261,14 @@ def _exec_last_seen(ast: LastSeen, store: Store, policy: RefinePolicy,
                               confidence=existence_probability(track, anchor, policy))
     loc = observation_from_detection(hit.detection, hit.frame, policy)
     return LocationAnswer(loc=loc, ts=hit.ts, frame_id=hit.frame_id,
-                          confidence=hit.detection.confidence)
+                          confidence=hit.confidence)
 
 
 def _exec_present(ast: Present, store: Store, *_) -> Answer:
     hits = store.find_by_label(ast.label, rng=ast.range, kind=ast.kind)
     if hits:
         frames = {f for h in hits for f in h.frame_ids}
-        prob = _noisy_or(h.detection.confidence for h in hits)
+        prob = _noisy_or(h.confidence for h in hits)
         return BoolAnswer(value=True, prob=prob, supporting_frames=tuple(sorted(frames)),
                           coarse=any(h.coarse for h in hits))
     if store.frames_in_range(ast.range):

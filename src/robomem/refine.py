@@ -64,8 +64,13 @@ def observation_from_detection(d: Detection, fm: FrameMeta,
     with an isotropic sigma of policy.obs_sigma_m per axis."""
     if d.frame_id != fm.frame_id:
         raise InvalidRecord("frame_id", f"detection frame {d.frame_id} != meta frame {fm.frame_id}")
+    return observation_at(fm.pose.x, fm.pose.y, policy)
+
+
+def observation_at(x: float, y: float, policy: RefinePolicy = RefinePolicy()) -> LocationEstimate:
+    """The observation of a sighting made with the robot at (x, y)."""
     s2 = policy.obs_sigma_m ** 2
-    return LocationEstimate(mean=(fm.pose.x, fm.pose.y), cov=((s2, 0.0), (0.0, s2)))
+    return LocationEstimate(mean=(x, y), cov=((s2, 0.0), (0.0, s2)))
 
 
 def fuse(prior: LocationEstimate, obs: LocationEstimate) -> LocationEstimate:

@@ -12,17 +12,24 @@ The six-field frame record encodes in 51 bytes. Pose x/y keep full double
 precision (they feed location fusion); z/roll/pitch/yaw are stored as f32,
 which is ample for meters and degrees.
 
-A store keeps its frames in a FrameColumns table, one typed array per field,
-and scans frame bodies straight into it; a FrameMeta is built only when a
-caller asks for one frame.
+A store keeps its frames in a FrameColumns table and its detections in a
+DetectionColumns table, one typed array per field, and scan_segment decodes
+records straight into them; a FrameMeta or Detection is built only when a
+caller asks for one. A migration writes every frame first, so its segments
+hold long runs of back-to-back 51-byte frame records. The scan finds such a
+run from its header bytes with strided slices, checks every record's CRC,
+and cuts each column out of the run with strided copies, so a frame in a
+run costs no Python call of its own. Short runs, detections and activities
+are read one record at a time.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from typing import Optional
 
 from .errors import CorruptSegment
@@ -31,6 +38,7 @@ from .model import (
     Detection,
     FeedRecord,
     FrameMeta,
+    KINDS,
     LocationEstimate,
     Pose,
     ts_from_micros,
@@ -47,6 +55,7 @@ _FRAME_BODY = struct.Struct("<Iq2d4f")
 _DET_BODY = struct.Struct("<IBd")
 _ACT_HEAD = struct.Struct("<qqdBBH")
 _LOC_BODY = struct.Struct("<5d")  # mean x, mean y, cov a, b, d (symmetric)
+_KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}  # as a detection record codes it
 
 
 def _frame(tag: int, payload: bytes) -> bytes:
@@ -174,25 +183,200 @@ class FrameColumns:
             self.z[i], self.roll[i], self.pitch[i], self.yaw[i]))
 
 
+class DetectionColumns:
+    """Detection records as one typed array per field, in append order.
+
+    A detection's seq is its index. It is held as its frame's position in
+    `frames`, the FrameColumns of the same store, an interned label id, a
+    kind code (0 object, 1 person) and its confidence. `labels` lists the
+    label strings by id and `label_ids` maps a label's UTF-8 bytes to its
+    id, both filled in first-seen order. The postings of (label id, kind) sit at
+    `postings[2 * label_id + kind]`: an array of seqs sorted by (frame
+    position, seq), searched with bisect keyed by `position`.
+    """
+
+    __slots__ = ("frames", "position", "label_id", "kind", "confidence", "labels", "label_ids",
+                 "postings")
+
+    def __init__(self, frames: FrameColumns):
+        self.frames = frames
+        self.position = array("q")
+        self.label_id = array("i")
+        self.kind = array("b")
+        self.confidence = array("d")
+        self.labels: list[str] = []
+        self.label_ids: dict[bytes, int] = {}
+        self.postings: list[array] = []
+
+    def __len__(self) -> int:
+        return len(self.position)
+
+    def intern(self, raw: bytes) -> int:
+        """The id of a label given as UTF-8 bytes; raises UnicodeDecodeError
+        if it is not valid UTF-8."""
+        lid = self.label_ids.get(raw)
+        if lid is None:
+            label = raw.decode("utf-8")
+            lid = self.label_ids[raw] = len(self.labels)
+            self.labels.append(label)
+            self.postings += (array("q"), array("q"))
+        return lid
+
+    def extend(self, positions, label_ids, kinds, confidences) -> None:
+        """Append detections given as parallel sequences and post them."""
+        seq = len(self.position)
+        at = self.position
+        at.extend(positions)
+        self.label_id.extend(label_ids)
+        self.kind.extend(kinds)
+        self.confidence.extend(confidences)
+        postings = self.postings
+        for pos, lid, kind in zip(positions, label_ids, kinds):
+            p = postings[2 * lid + kind]
+            if p and at[p[-1]] > pos:  # a sighting of an older frame
+                insort(p, seq, key=at.__getitem__)
+            else:
+                p.append(seq)
+            seq += 1
+
+    def append(self, position: int, det: Detection) -> None:
+        self.extend((position,), (self.intern(det.label.encode("utf-8")),),
+                    (_KIND_CODE[det.kind],), (det.confidence,))
+
+    def postings_of(self, label: str, kind: str):
+        """The (label, kind) seqs sorted by (frame position, seq); empty if none."""
+        lid = self.label_ids.get(label.encode("utf-8", "surrogatepass"))
+        return () if lid is None else self.postings[2 * lid + _KIND_CODE[kind]]
+
+    def detection(self, seq: int) -> Detection:
+        return Detection(frame_id=self.frames.frame_id[self.position[seq]],
+                         label=self.labels[self.label_id[seq]],
+                         kind=KINDS[self.kind[seq]], confidence=self.confidence[seq])
+
+    def encode(self, seq: int) -> bytes:
+        """The record of detection seq, byte for byte as encode_record writes it."""
+        return _frame(TAG_DETECTION, _DET_BODY.pack(
+            self.frames.frame_id[self.position[seq]], self.kind[seq], self.confidence[seq],
+        ) + self.labels[self.label_id[seq]].encode("utf-8"))
+
+    def select(self, seqs: list[int]) -> "DetectionColumns":
+        """A new table of the given detections in the given order, with the
+        labels interned afresh."""
+        out = DetectionColumns(self.frames)
+        lids = [self.label_id[s] for s in seqs]
+        remap: dict[int, int] = {}
+        for lid in lids:
+            if lid not in remap:
+                remap[lid] = out.intern(self.labels[lid].encode("utf-8"))
+        out.extend([self.position[s] for s in seqs], [remap[lid] for lid in lids],
+                   [self.kind[s] for s in seqs], [self.confidence[s] for s in seqs])
+        return out
+
+
+# Back-to-back frame records are cut into the columns in bulk once at least
+# _MIN_RUN of them follow each other.
+_FRAME_RECORD = _HEADER.size + _FRAME_BODY.size + _CRC.size
+_FRAME_HEAD = _HEADER.pack(TAG_FRAME, _FRAME_BODY.size)
+_MIN_RUN = 16
+# the frame body's fields in order: (column, width in the record, typecode)
+_FRAME_FIELDS = (("frame_id", 4, "q"), ("ts_us", 8, "q"), ("x", 8, "d"), ("y", 8, "d"),
+                 ("z", 4, "f"), ("roll", 4, "f"), ("pitch", 4, "f"), ("yaw", 4, "f"))
+_NATIVE_LE = sys.byteorder == "little"
+
+
+def _frame_run(data: bytes, off: int) -> int:
+    """How many whole records from `off` on carry a frame record's header.
+
+    Reads the header bytes with strided slices over a window that starts
+    at _MIN_RUN records and grows fourfold while every record in it is a
+    frame, so a short run costs a short probe."""
+    whole = (len(data) - off) // _FRAME_RECORD
+    most = min(_MIN_RUN, whole)
+    while True:
+        end = off + most * _FRAME_RECORD
+        run = most
+        for j in range(_HEADER.size):
+            column = data[off + j:end:_FRAME_RECORD]
+            run = min(run, most - len(column.lstrip(_FRAME_HEAD[j:j + 1])))
+        if run < most or most == whole:
+            return run
+        most = min(most * 4, whole)
+
+
+def _gather(data: bytes, start: int, count: int, width: int, typecode: str) -> array:
+    """The `width` bytes at `start` of `count` records _FRAME_RECORD apart,
+    as an array of little-endian `typecode` items, zero-extended if wider."""
+    size = array(typecode).itemsize
+    buf = bytearray(count * size)
+    end = start + count * _FRAME_RECORD
+    for j in range(width):
+        buf[j::size] = data[start + j:end:_FRAME_RECORD]
+    out = array(typecode, buf)
+    if not _NATIVE_LE:
+        out.byteswap()
+    return out
+
+
+def _take_frame_run(data: bytes, off: int, count: int, frames: FrameColumns) -> int:
+    """Append `count` back-to-back frame records from `off` to the columns.
+
+    Every record's CRC is checked; the run is cut before the first record
+    whose CRC fails. Returns how many records were taken."""
+    body = _HEADER.size + _FRAME_BODY.size
+    crc32 = zlib.crc32
+    found = array("I", [crc32(data[rec:rec + body])
+                        for rec in range(off, off + count * _FRAME_RECORD, _FRAME_RECORD)])
+    stored = _gather(data, off + body, count, _CRC.size, "I")
+    if found != stored:
+        count = next(i for i, (a, b) in enumerate(zip(found, stored)) if a != b)
+    at = off + _HEADER.size
+    for name, width, typecode in _FRAME_FIELDS:
+        getattr(frames, name).extend(_gather(data, at, count, width, typecode))
+        at += width
+    return count
+
+
 def scan_segment(data: bytes, frames: Optional[FrameColumns] = None,
+                 detections: Optional[DetectionColumns] = None,
                  ) -> tuple[list[FeedRecord], int]:
     """Decode records from raw segment bytes.
 
     Returns (records, good_bytes) where good_bytes is the offset of the first
     incomplete or checksum-failing record; everything before it decoded clean.
     Given `frames`, frame records are appended to those columns instead of
-    being returned.
+    being returned. Given `detections` as well (whose frame table is
+    `frames`), so are detection records; their frames must be in `frames`
+    by the end of the segment. A run of at least _MIN_RUN back-to-back
+    frame records is checked and cut into the columns in bulk, and it stops
+    at the offset the record-by-record walk would.
     """
     records: list[FeedRecord] = []
     rows: list[tuple] = []  # frame bodies bound for `frames`
+    sighted: list[int] = []  # frame ids of the detections bound for `detections`
+    label_ids, kinds, confidences = array("i"), array("b"), array("d")
     take_frames = frames is not None
-    frame_size = _FRAME_BODY.size
-    head, crc_at, frame_at = _HEADER.unpack_from, _CRC.unpack_from, _FRAME_BODY.unpack_from
+    take_detections = take_frames and detections is not None
+    frame_size, det_size = _FRAME_BODY.size, _DET_BODY.size
+    head, crc_at = _HEADER.unpack_from, _CRC.unpack_from
+    frame_at, det_at = _FRAME_BODY.unpack_from, _DET_BODY.unpack_from
+    known = detections.label_ids if take_detections else {}
+    run_probe = (_MIN_RUN - 1) * _FRAME_RECORD
     view = memoryview(data)
     off = 0
     n = len(data)
     while off + _HEADER.size + _CRC.size <= n:
         tag, plen = head(data, off)
+        if (take_frames and tag == TAG_FRAME and plen == frame_size
+                and data.startswith(_FRAME_HEAD, off + run_probe)):
+            run = _frame_run(data, off)
+            if run >= _MIN_RUN:
+                frames.extend(rows)
+                rows = []
+                took = _take_frame_run(data, off, run, frames)
+                off += took * _FRAME_RECORD
+                if took < run:
+                    break
+                continue
         body_end = off + _HEADER.size + plen
         if body_end + _CRC.size > n:
             break
@@ -200,6 +384,19 @@ def scan_segment(data: bytes, frames: Optional[FrameColumns] = None,
             break
         if take_frames and tag == TAG_FRAME and plen == frame_size:
             rows.append(frame_at(data, off + _HEADER.size))
+        elif take_detections and tag == TAG_DETECTION and plen >= det_size:
+            frame_id, kind, confidence = det_at(data, off + _HEADER.size)
+            raw = data[off + _HEADER.size + det_size:body_end]
+            lid = known.get(raw)
+            if lid is None:
+                try:
+                    lid = detections.intern(raw)
+                except UnicodeDecodeError:
+                    break
+            sighted.append(frame_id)
+            label_ids.append(lid)
+            kinds.append(1 if kind else 0)
+            confidences.append(confidence)
         else:
             try:
                 records.append(decode_payload(tag, data[off + _HEADER.size:body_end]))
@@ -208,17 +405,23 @@ def scan_segment(data: bytes, frames: Optional[FrameColumns] = None,
         off = body_end + _CRC.size
     if take_frames:
         frames.extend(rows)
+    if sighted:
+        positions = array("q", map(frames.position, sighted))
+        if min(positions) < 0:
+            raise CorruptSegment(f"detection of unknown frame {sighted[positions.index(-1)]}")
+        detections.extend(positions, label_ids, kinds, confidences)
     return records, off
 
 
 def read_segment(path, tolerate_tail: bool, frames: FrameColumns,
-                 ) -> tuple[list[FeedRecord], int]:
+                 detections: DetectionColumns) -> tuple[list[FeedRecord], int]:
     """Read one segment file; raise CorruptSegment on a torn tail unless tolerated.
 
-    Frame records go into `frames`; the other records are returned."""
+    Frame and detection records go into `frames` and `detections`; the
+    other records are returned."""
     with open(path, "rb") as fh:
         data = fh.read()
-    records, good = scan_segment(data, frames)
+    records, good = scan_segment(data, frames, detections)
     if good != len(data) and not tolerate_tail:
         raise CorruptSegment(f"{path}: bad record at offset {good}")
     return records, good

@@ -24,8 +24,15 @@ written:
                       FrameMeta is built only when a caller asks for a frame
                       (frame_by_id, LabelHit.frame). The table doubles as the
                       time index.
-    detections        Detection objects in append order (seq = index)
-    postings          (label, kind) -> [(frame position, seq)], sorted
+    detections        one segment.DetectionColumns table in append order
+                      (seq = index): typed arrays of frame position,
+                      interned label id, kind and confidence. Open scans
+                      detection records straight into it; a Detection is
+                      built only at the API boundary (detections_from,
+                      LabelHit.detection), and migration fuses and
+                      re-encodes straight from the columns.
+    postings          per (label, kind), an array of seqs sorted by (frame
+                      position, seq), held in the detection table
     activities        ActivityEvent objects in append order
     tracks            Track objects. Open reads tracks.json, so a snapshot
                       matches its segments, but decodes its rows on first use.
@@ -74,7 +81,7 @@ from .model import (
     ts_to_micros,
     validate_record,
 )
-from .refine import fuse, observation_from_detection
+from .refine import fuse, observation_at
 
 FORMAT_VERSION = 2
 DEFAULT_SEGMENT_RECORDS = 8192
@@ -161,18 +168,34 @@ class ActivitySummary:
 class LabelHit:
     """One result of find_by_label: a raw sighting, or a summary stand-in.
 
-    A hit carries its frame's timestamp, and its frame id is its detection's;
-    `frame` builds the full FrameMeta from the store's frame table when
-    asked for. A summary stand-in is coarse, and its count, location and
-    frames are the summary's."""
-    detection: Detection
+    A raw hit carries its detection's seq and its frame's timestamp, and
+    reads the rest off the store's columns: `confidence` and `frame_id`
+    directly, while `detection` and `frame` build a Detection or FrameMeta
+    when asked for. A summary stand-in (seq -1) is coarse; its count,
+    location, confidence and frames are the summary's, and its detection is
+    anchored at the summary's last frame."""
+    seq: int
     ts_us: int
+    detections: segcodec.DetectionColumns = field(repr=False, compare=False)
     summary: Optional[LabelSummary] = None
-    frames: Optional[segcodec.FrameColumns] = field(default=None, repr=False, compare=False)
 
     @property
     def coarse(self) -> bool:
         return self.summary is not None
+
+    @property
+    def detection(self) -> Detection:
+        s = self.summary
+        if s is None:
+            return self.detections.detection(self.seq)
+        return Detection(frame_id=s.last_frame, label=s.label, kind=s.kind,
+                         confidence=s.detect_prob)
+
+    @property
+    def confidence(self) -> float:
+        if self.summary is None:
+            return self.detections.confidence[self.seq]
+        return self.summary.detect_prob
 
     @property
     def count(self) -> int:
@@ -186,16 +209,21 @@ class LabelHit:
     def frame_ids(self) -> tuple[int, ...]:
         """The sighting's frame, or the summary's first and last frame."""
         if self.summary is None:
-            return (self.detection.frame_id,)
+            return (self.frame_id,)
         return (self.summary.first_frame, self.summary.last_frame)
 
     @property
     def frame_id(self) -> int:
-        return self.detection.frame_id
+        if self.summary is None:
+            return self.detections.frames.frame_id[self.detections.position[self.seq]]
+        return self.summary.last_frame
 
     @property
     def frame(self) -> FrameMeta:
-        return self.frames.frame(self.frames.position(self.detection.frame_id))
+        frames = self.detections.frames
+        if self.summary is None:
+            return frames.frame(self.detections.position[self.seq])
+        return frames.frame(frames.position(self.summary.last_frame))
 
     @property
     def ts(self) -> datetime:
@@ -249,9 +277,7 @@ class Store:
         self._pending: list[bytes] = []         # encoded but unflushed records
 
         self._frames = segcodec.FrameColumns()
-        self._detections: list[Detection] = []  # global append order (seq = index)
-        # (label, kind) -> [(frame position, seq)], sorted
-        self._postings: dict[tuple[str, str], list[tuple[int, int]]] = {}
+        self._detections = segcodec.DetectionColumns(self._frames)  # seq = index, with postings
         self._activities: list[ActivityEvent] = []
 
         self._label_summaries: list[LabelSummary] = []
@@ -334,13 +360,15 @@ class Store:
         for i, name in enumerate(self._segments):
             path = os.path.join(self.root, "segments", name)
             is_last = i == len(self._segments) - 1
-            frames_before = len(self._frames)
+            held_before = len(self._frames) + len(self._detections)
             records, good = segcodec.read_segment(path, tolerate_tail=is_last,
-                                                  frames=self._frames)
+                                                  frames=self._frames,
+                                                  detections=self._detections)
             if is_last and good != os.path.getsize(path) and self.mode == "rw":
                 with open(path, "r+b") as fh:  # drop the torn tail once, up front
                     fh.truncate(good)
-            self._segment_counts.append(len(records) + len(self._frames) - frames_before)
+            self._segment_counts.append(
+                len(records) + len(self._frames) + len(self._detections) - held_before)
             for rec in records:
                 self._index_record(rec)
         self._load_sidecars()
@@ -372,9 +400,7 @@ class Store:
             pos = self._frames.position(rec.frame_id)
             if pos < 0:
                 raise CorruptSegment(f"detection of unknown frame {rec.frame_id}")
-            seq = len(self._detections)
-            self._detections.append(rec)
-            insort(self._postings.setdefault((rec.label, rec.kind), []), (pos, seq))
+            self._detections.append(pos, rec)
         elif isinstance(rec, ActivityEvent):
             self._activities.append(rec)
             if rec.provenance == "ingested":
@@ -499,9 +525,6 @@ class Store:
             raise KeyError(frame_id)
         return self._frames.frame(pos)
 
-    def _frame_ts_us(self, frame_id: int) -> int:
-        return self._frames.ts_us[self._frames.position(frame_id)]
-
     @property
     def max_frame_id(self) -> int:
         return self._frames.frame_id[-1] if self._frames else -1
@@ -510,7 +533,7 @@ class Store:
         return len(self._frames)
 
     def labels(self) -> list[str]:
-        out = {label for label, _kind in self._postings}
+        out = set(self._detections.labels)  # every interned label has a detection
         out.update(s.label for s in self._label_summaries)
         return sorted(out)
 
@@ -565,17 +588,16 @@ class Store:
         """
         desc = order == "desc"
         lo, hi = self._frame_window(rng)
-        windows = []
-        for k in ((kind,) if kind is not None else KINDS):
-            postings = self._postings.get((label, k), ())
-            windows.append(postings[bisect_left(postings, (lo, -1)):
-                                    bisect_left(postings, (hi, -1))])
-        window = windows[0] if len(windows) == 1 else list(heapq.merge(*windows))
-        ids = self._frames.frame_id
-        ts_us = self._frames.ts_us
-        # sort keys: (ts_us, frame_id, 0 = summary | 1 = raw, index)
-        keys = ((ts_us[pos], ids[pos], 1, seq)
-                for pos, seq in (reversed(window) if desc else window))
+        dets = self._detections
+        frames = self._frames
+        ids, ts_us, at = frames.frame_id, frames.ts_us, dets.position.__getitem__
+
+        def raw_keys(postings):
+            # sort keys: (ts_us, frame_id, 0 = summary | 1 = raw, index)
+            window = range(bisect_left(postings, lo, key=at), bisect_left(postings, hi, key=at))
+            for seq in map(postings.__getitem__, reversed(window) if desc else window):
+                pos = at(seq)
+                yield ts_us[pos], ids[pos], 1, seq
         lo_us = ts_to_micros(rng.start) if rng else None
         hi_us = ts_to_micros(rng.end) if rng else None
         summary_keys = sorted(
@@ -584,29 +606,25 @@ class Store:
              if s.label == label and (kind is None or s.kind == kind)
              and (lo_us is None or not (s.last_ts_us < lo_us or s.first_ts_us > hi_us))),
             reverse=desc)
-        keys = heapq.merge(summary_keys, keys, reverse=desc)
-        dets = self._detections
-        frames = self._frames
-        out = []
-        for ts, _frame_id, is_raw, n in islice(keys, limit):
-            if is_raw:
-                out.append(LabelHit(dets[n], ts, frames=frames))
-                continue
-            s = self._label_summaries[n]
-            det = Detection(frame_id=s.last_frame, label=s.label, kind=s.kind,
-                            confidence=s.detect_prob)
-            out.append(LabelHit(det, ts, summary=s, frames=frames))
-        return out
+        keys = heapq.merge(summary_keys, *(raw_keys(dets.postings_of(label, k))
+                                           for k in ((kind,) if kind is not None else KINDS)),
+                           reverse=desc)
+        summaries = self._label_summaries
+        return [LabelHit(n, ts, dets) if is_raw else LabelHit(-1, ts, dets, summaries[n])
+                for ts, _frame_id, is_raw, n in islice(keys, limit)]
 
     def has_sighting(self, frame_id: int, label: str, kind: str) -> bool:
         """True iff a raw detection of (label, kind) in this frame is held."""
         pos = self._frames.position(frame_id)
-        postings = self._postings.get((label, kind), ())
-        i = bisect_left(postings, (pos, -1))
-        return i < len(postings) and postings[i][0] == pos
+        at = self._detections.position
+        postings = self._detections.postings_of(label, kind)
+        i = bisect_left(postings, pos, key=at.__getitem__)
+        return i < len(postings) and at[postings[i]] == pos
 
     def detections_from(self, seq: int) -> list[tuple[int, Detection]]:
-        return list(enumerate(self._detections[seq:], start=seq))
+        """Detections from seq on, each built from the columns."""
+        dets = self._detections
+        return [(s, dets.detection(s)) for s in range(seq, len(dets))]
 
     def detection_count(self) -> int:
         return len(self._detections)
@@ -781,24 +799,31 @@ class Store:
             if self._pending:
                 self.flush()
 
-            keep_detections: list[tuple[int, Detection]] = []
-            groups: dict[tuple[str, str, int], list[Detection]] = {}
-            for seq, det in enumerate(self._detections):
-                ts_us = self._frame_ts_us(det.frame_id)
+            dets = self._detections
+            frame_ts_us = self._frames.ts_us
+            keep: list[int] = []  # seqs of the detections that stay raw
+            groups: dict[tuple[str, str, int], list[int]] = {}
+            for seq, pos in enumerate(dets.position):
+                ts_us = frame_ts_us[pos]
                 if ts_us < hot_us:
-                    key = (det.label, det.kind, ts_us - ts_us % HOUR_US)
-                    groups.setdefault(key, []).append(det)
+                    key = (dets.labels[dets.label_id[seq]], KINDS[dets.kind[seq]],
+                           ts_us - ts_us % HOUR_US)
+                    groups.setdefault(key, []).append(seq)
                 else:
-                    keep_detections.append((seq, det))
-            for (label, kind, bucket_us), dets in sorted(groups.items()):
-                self._label_summaries.append(self._summarize(label, kind, bucket_us, "hourly", dets))
-                report.detections_migrated += len(dets)
+                    keep.append(seq)
+            for (label, kind, bucket_us), seqs in sorted(groups.items()):
+                self._label_summaries.append(self._summarize(label, kind, bucket_us, "hourly", seqs))
+                report.detections_migrated += len(seqs)
                 report.hourly_created += 1
 
             keep_activities: list[ActivityEvent] = []
+            hourly = {}  # (subject, name, bucket_us) -> its hourly activity summary
+            for s in self._activity_summaries:
+                if s.tier == "hourly":
+                    hourly.setdefault((s.subject, s.name, s.bucket_us), s)
             for ev in self._activities:
                 if ts_to_micros(ev.end) < hot_us:
-                    self._summarize_activity(ev)
+                    self._summarize_activity(ev, hourly)
                     report.activities_migrated += 1
                 else:
                     keep_activities.append(ev)
@@ -842,28 +867,32 @@ class Store:
                 raise CorruptSegment("migration count mismatch")
 
             if migrated or report.activities_migrated:
-                cursor = sum(1 for seq, _ in keep_detections if seq < self._refine_cursor)
+                cursor = bisect_left(keep, self._refine_cursor)
                 if cursor != self._refine_cursor:
                     self._refine_cursor = cursor
                     self._refine_changed = True
-                self._rewrite_segments([d for _, d in keep_detections], keep_activities)
+                self._rewrite_segments(keep, keep_activities)
             else:
                 self._write_sidecars()
         report.bytes_after = self._bytes_on_disk()
         return report
 
     def _summarize(self, label: str, kind: str, bucket_us: int, tier: str,
-                   dets: list[Detection]) -> LabelSummary:
+                   seqs: list[int]) -> LabelSummary:
+        """Fuse the given detections into one summary, reading their frames'
+        time and position straight off the columns."""
+        frames, dets = self._frames, self._detections
+        positions = [dets.position[seq] for seq in seqs]
+        first_ts, first_frame = min((frames.ts_us[p], frames.frame_id[p]) for p in positions)
+        last_ts, last_frame = max((frames.ts_us[p], frames.frame_id[p]) for p in positions)
         loc = None
         miss = 1.0
-        first_ts, first_frame = min((self._frame_ts_us(d.frame_id), d.frame_id) for d in dets)
-        last_ts, last_frame = max((self._frame_ts_us(d.frame_id), d.frame_id) for d in dets)
-        for d in dets:
-            obs = observation_from_detection(d, self.frame_by_id(d.frame_id))
+        for seq, p in zip(seqs, positions):
+            obs = observation_at(frames.x[p], frames.y[p])
             loc = obs if loc is None else fuse(loc, obs)
-            miss *= (1.0 - d.confidence)
+            miss *= (1.0 - dets.confidence[seq])
         return LabelSummary(
-            label=label, kind=kind, tier=tier, bucket_us=bucket_us, count=len(dets),
+            label=label, kind=kind, tier=tier, bucket_us=bucket_us, count=len(seqs),
             first_frame=first_frame, last_frame=last_frame,
             first_ts_us=first_ts, last_ts_us=last_ts,
             loc=loc, detect_prob=1.0 - miss,
@@ -892,8 +921,10 @@ class Store:
             detect_prob=1.0 - (1.0 - cur.detect_prob) * (1.0 - s.detect_prob),
         )
 
-    def _summarize_activity(self, ev: ActivityEvent) -> None:
-        """Split one event's seconds across hourly buckets."""
+    def _summarize_activity(self, ev: ActivityEvent,
+                            hourly: dict[tuple[str, str, int], ActivitySummary]) -> None:
+        """Split one event's seconds across hourly buckets; `hourly` indexes
+        the hourly activity summaries by (subject, name, bucket_us)."""
         start_us, end_us = ts_to_micros(ev.start), ts_to_micros(ev.end)
         bucket = start_us - start_us % HOUR_US
         while bucket <= end_us:
@@ -901,14 +932,12 @@ class Store:
             hi = min(end_us, bucket + HOUR_US)
             secs = max(hi - lo, 0) / 1e6
             if secs > 0 or start_us == end_us:
-                existing = next(
-                    (s for s in self._activity_summaries
-                     if s.tier == "hourly" and s.subject == ev.subject
-                     and s.name == ev.name and s.bucket_us == bucket), None)
+                existing = hourly.get((ev.subject, ev.name, bucket))
                 if existing is None:
-                    self._activity_summaries.append(ActivitySummary(
+                    s = hourly[(ev.subject, ev.name, bucket)] = ActivitySummary(
                         subject=ev.subject, name=ev.name, tier="hourly",
-                        bucket_us=bucket, seconds=secs, count=1, prob=ev.prob, loc=ev.loc))
+                        bucket_us=bucket, seconds=secs, count=1, prob=ev.prob, loc=ev.loc)
+                    self._activity_summaries.append(s)
                 else:
                     existing.seconds += secs
                     existing.count += 1
@@ -917,15 +946,15 @@ class Store:
                         existing.loc = ev.loc
             bucket += HOUR_US
 
-    def _rewrite_segments(self, detections: list[Detection],
-                          activities: list[ActivityEvent]) -> None:
+    def _rewrite_segments(self, keep: list[int], activities: list[ActivityEvent]) -> None:
         """Write a fresh segment generation holding frames + surviving records.
 
-        Frames are encoded straight from the frame table, which a migration
-        leaves as it is."""
-        frames = self._frames
+        Frames and the kept detections (by seq) are encoded straight from
+        their columns; a migration leaves the frame table as it is, so the
+        kept detections keep their frame positions."""
+        frames, dets = self._frames, self._detections
         encoded = [frames.encode(i) for i in range(len(frames))]
-        encoded.extend(segcodec.encode_record(r) for r in detections)
+        encoded.extend(dets.encode(seq) for seq in keep)
         encoded.extend(segcodec.encode_record(r) for r in activities)
 
         old = list(self._segments)
@@ -946,13 +975,10 @@ class Store:
         self._segment_counts = new_counts
 
         # rebuild the detection and activity state from the surviving records
-        self._detections.clear()
-        self._postings.clear()
+        self._detections = dets.select(keep)
         self._activities.clear()
         saved_cov = self._coverage
         self._coverage = []
-        for rec in detections:
-            self._index_record(rec)
         for rec in activities:
             self._index_record(rec)
         self._coverage = saved_cov  # coverage is historical fact, not re-derived
@@ -983,7 +1009,7 @@ class Store:
             bytes_on_disk=nbytes,
             frames=frames,
             detections=len(self._detections),
-            tracks=len(self.tracks()),
+            tracks=len(self._tracks if self._track_rows is None else self._track_rows),
             bytes_per_frame=nbytes / max(frames, 1),
         )
 

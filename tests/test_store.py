@@ -12,7 +12,13 @@ import pytest
 
 import robomem
 
-from robomem.errors import MigrationConflict, ReadOnlyStore, StoreLocked, StoreVersionError
+from robomem.errors import (
+    CorruptSegment,
+    MigrationConflict,
+    ReadOnlyStore,
+    StoreLocked,
+    StoreVersionError,
+)
 from robomem.ingest import ingest_stream
 from robomem.model import (
     Detection,
@@ -26,7 +32,7 @@ from robomem.model import (
 from robomem.query import run_query
 from robomem.refine import run_refinement_pass
 from robomem.scenario import generate_scenario
-from robomem.segment import decode_payload, encode_record
+from robomem.segment import decode_payload, encode_record, scan_segment
 from robomem.store import FORMAT_VERSION, Store, TierPolicy
 
 from conftest import small_scenario
@@ -274,6 +280,126 @@ def test_crash_safety_random_truncation(tmp_path):
         st.close()
 
 
+def _set_segment_max(root, records):
+    path = os.path.join(root, "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    manifest["segment_max_records"] = records
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+
+
+@pytest.mark.parametrize("migrated", [False, True], ids=["ingested", "migrated"])
+def test_damaged_tail_opens_as_record_walk(tmp_path, migrated):
+    """With its last segment cut or bit-flipped at many offsets, a store
+    opens to what a record-by-record walk of its segments gives: the same
+    frames and detections, and the tail cut back to the same offset. A
+    migrated store's segments hold long runs of frame records, which open
+    reads in bulk; an ingested one interleaves frames and detections.
+    Damage in an earlier segment is corruption."""
+    _gt, records = generate_scenario(small_scenario(seed=8, minutes=1.5))
+    root = str(tmp_path / "s")
+    Store.create(root).close()
+    _set_segment_max(root, 400)
+    with Store.open(root) as s:
+        ingest_stream(iter(records), s)
+        if migrated:
+            frames = [r for r in records if isinstance(r, FrameMeta)]
+            now = frames[len(frames) // 2].ts + timedelta(days=7)
+            assert s.migrate_tiers(now, TierPolicy(hot_window=timedelta(days=7))).detections_migrated
+    with open(os.path.join(root, "manifest.json")) as fh:
+        paths = [os.path.join(root, "segments", n) for n in json.load(fh)["segments"]]
+    assert len(paths) >= 2
+    blobs = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            blobs.append(fh.read())
+    earlier = [r for blob in blobs[:-1] for r in scan_segment(blob)[0]]
+    last = blobs[-1]
+    tail = scan_segment(last)[0]
+    assert any(isinstance(r, Detection) for r in tail)
+    if migrated:  # a frame run long enough for the bulk path opens the segment
+        assert all(isinstance(r, FrameMeta) for r in tail[:100])
+
+    rng = random.Random(11)
+    for trial in range(160):
+        data = bytearray(last)
+        if trial % 2:
+            del data[rng.randrange(len(data)):]
+        else:
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        with open(paths[-1], "wb") as fh:
+            fh.write(data)
+        walked, good = scan_segment(bytes(data))
+        want = earlier + walked
+        frames = [r for r in want if isinstance(r, FrameMeta)]
+        st = Store.open(root)
+        assert os.path.getsize(paths[-1]) == good
+        assert st.frame_count() == len(frames)
+        assert [st.frame_by_id(f.frame_id) for f in frames] == frames
+        assert [d for _seq, d in st.detections_from(0)] == [
+            r for r in want if isinstance(r, Detection)]
+        st.close(flush=False)
+
+    with open(paths[-1], "wb") as fh:
+        fh.write(last)
+    for at in (0, len(blobs[0]) // 2, len(blobs[0]) - 1):
+        data = bytearray(blobs[0])
+        data[at] ^= 0x10
+        with open(paths[0], "wb") as fh:
+            fh.write(data)
+        for mode in ("ro", "rw"):
+            with pytest.raises(CorruptSegment):
+                Store.open(root, mode=mode)
+
+
+def test_reprocessed_sightings_read_the_same_after_reopen(store):
+    """Sightings of old frames appended late, as reprocessing does, come
+    after newer frames' sightings in seq order. Label reads order them by
+    frame, and every read gives the same after a reopen."""
+    records = []
+    for f in range(40):
+        records.append(FrameMeta(f, T0 + f * timedelta(seconds=1), Pose(float(f), 0.5)))
+        if f % 3 == 0:
+            records.append(Detection(f, "cup", "object", 0.7))
+    records += [Detection(4, "cup", "object", 0.9), Detection(0, "cup", "object", 0.8),
+                Detection(4, "cup", "person", 0.6), Detection(21, "mug", "object", 0.5),
+                Detection(3, "cup", "object", 0.95), Detection(39, "cup", "object", 0.4),
+                Detection(2, "mug", "object", 0.3)]
+    for r in records[:-7]:
+        store.append(r)
+    store.flush()
+    for r in records[-7:]:
+        store.append(r)
+    window = TimeRange(T0 + timedelta(seconds=2), T0 + timedelta(seconds=30))
+
+    def reads(s):
+        hits = {}
+        for label in ("cup", "mug", "plate"):
+            for kind in (None, "object", "person"):
+                for rng in (None, window):
+                    want = brute_find(records, label, rng, kind)
+                    for order in ("asc", "desc"):
+                        got = [(h.frame, h.detection) for h in
+                               s.find_by_label(label, rng=rng, order=order, kind=kind)]
+                        assert got == (want if order == "asc" else want[::-1])
+                        hits[label, kind, rng, order] = got
+                        hits[label, kind, rng, order, 1] = s.find_by_label(
+                            label, rng=rng, order=order, limit=1, kind=kind)[0].detection \
+                            if want else None
+        sighted = [s.has_sighting(f, label, kind) for f in range(41)
+                   for label in ("cup", "mug") for kind in ("object", "person")]
+        return hits, sighted, [s.detections_from(k) for k in (0, 10, 16, 20, 22)]
+
+    before = reads(store)
+    assert [d for _seq, d in store.detections_from(0)] == [
+        r for r in records if isinstance(r, Detection)]
+    store.flush()
+    reopened = Store.open(store.root, mode="ro")
+    assert reads(reopened) == before
+    reopened.close()
+
+
 # ---------------------------------------------------------------------------
 # the frame table
 
@@ -380,17 +506,25 @@ def test_open_builds_no_frame_objects(populated, monkeypatch):
             init(self, *args, **kwargs)
         return __init__
 
-    for cls in (FrameMeta, Pose):
+    for cls in (FrameMeta, Pose, Detection):
         monkeypatch.setattr(cls, "__init__", counting(cls))
     reopened = Store.open(store.root, mode="ro")
     assert built == []
-    n = reopened.frame_count()
-    assert n > reopened.detection_count()
-    per_frame = [name for name, v in vars(reopened).items()
-                 if isinstance(v, (dict, list)) and len(v) >= n]
-    assert per_frame == []
+    n = reopened.detection_count()
+    assert reopened.frame_count() > n > 0
+    per_record = [name for name, v in vars(reopened).items()
+                  if isinstance(v, (dict, list)) and len(v) >= n]
+    assert per_record == []
+    # label reads answer from the columns too
+    label = reopened.labels()[0]
+    kind = "object" if reopened.find_by_label(label, kind="object") else "person"
+    hits = reopened.find_by_label(label, kind=kind)
+    assert hits and all(0.0 < h.confidence <= 1.0 and h.frame_id >= 0 for h in hits)
+    assert reopened.has_sighting(hits[-1].frame_id, label, kind)
+    assert built == []
     assert reopened.frame_by_id(0).frame_id == 0  # built on demand, and counted
-    assert built == [Pose, FrameMeta]
+    assert hits[0].detection.label == label
+    assert built == [Pose, FrameMeta, Detection]
     reopened.close()
 
 

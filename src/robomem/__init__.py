@@ -27,7 +27,6 @@ from .model import (
     Duration,
     DurationAnswer,
     FrameMeta,
-    Interval,
     LastSeen,
     LocationAnswer,
     LocationEstimate,

@@ -20,6 +20,7 @@ import statistics
 import sys
 import tempfile
 import time
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 
 from .errors import QuerySemanticError, QuerySyntaxError, RoboMemError
@@ -72,11 +73,18 @@ def resolve_relative(text: str, now: datetime) -> str:
     return text
 
 
+class UsageError(RoboMemError):
+    """The command line, or a file it names, is malformed (exit 2)."""
+
+
 def _policy_from_args(args) -> RefinePolicy:
     base = {}
     if getattr(args, "policy_file", None):
         with open(args.policy_file) as fh:
             base = json.load(fh)
+        unknown = sorted(set(base) - {f.name for f in fields(RefinePolicy)})
+        if unknown:
+            raise UsageError(f"{args.policy_file}: unknown policy key(s): {', '.join(unknown)}")
     default = RefinePolicy()
     def pick(flag, key):
         v = getattr(args, flag, None)
@@ -85,7 +93,6 @@ def _policy_from_args(args) -> RefinePolicy:
         obs_sigma_m=pick("obs_sigma", "obs_sigma_m"),
         assoc_max_gap_s=pick("assoc_gap", "assoc_max_gap_s"),
         assoc_max_mahalanobis=pick("assoc_mahalanobis", "assoc_max_mahalanobis"),
-        interval_merge_gap_s=pick("merge_gap", "interval_merge_gap_s"),
         existence_decay_per_day=pick("decay", "existence_decay_per_day"),
     )
 
@@ -177,6 +184,8 @@ def cmd_ingest(args) -> int:
     with Store.open(args.store, mode="rw") as store:
         with open(args.feed) as fh:
             report = ingest_stream(read_feed(fh), store)
+        for error in report.errors:
+            print(f"rejected: {error}", file=sys.stderr)
         if args.refine:
             run_refinement_pass(store, _policy_from_args(args))
         store.flush()  # write the refine state, so the stats count it
@@ -205,7 +214,6 @@ def cmd_refine(args) -> int:
         "tracks_created": report.tracks_created,
         "tracks_updated": report.tracks_updated,
         "observations_fused": report.observations_fused,
-        "intervals_merged": report.intervals_merged,
     }
     _emit(args, payload,
           f"refined: {report.tracks_created} tracks created, "
@@ -367,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--obs-sigma", type=float)
         p.add_argument("--assoc-gap", type=float)
         p.add_argument("--assoc-mahalanobis", type=float)
-        p.add_argument("--merge-gap", type=float)
         p.add_argument("--decay", type=float)
         p.add_argument("--policy-file")
 
@@ -411,7 +418,7 @@ def main(argv=None) -> int:
         parser.error("--store (or ROBOMEM_STORE) is required")
     try:
         return args.func(args)
-    except (QuerySyntaxError, QuerySemanticError) as e:
+    except (QuerySyntaxError, QuerySemanticError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (RoboMemError, OSError) as e:

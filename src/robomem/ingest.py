@@ -80,12 +80,18 @@ def parse_feed_line(line: str, line_no: int = 0) -> FeedRecord:
     raise ParseError(line_no, f"unknown record type {rtype!r}")
 
 
-def read_feed(fh: TextIO) -> Iterator[FeedRecord]:
+def read_feed(fh: TextIO) -> Iterator[Union[FeedRecord, ParseError]]:
+    """The feed's records in order. A line that does not decode is yielded as
+    its ParseError, so that ingest_stream counts it and reads on."""
     for line_no, line in enumerate(fh, start=1):
         line = line.strip()
         if not line:
             continue
-        yield parse_feed_line(line, line_no)
+        try:
+            rec = parse_feed_line(line, line_no)
+        except ParseError as e:
+            rec = e
+        yield rec
 
 
 def write_feed(fh: TextIO, records: Iterable[FeedRecord]) -> int:
@@ -107,9 +113,10 @@ class IngestReport:
     errors: list[str] = field(default_factory=list)
 
 
-def ingest_stream(source: Iterable[FeedRecord], store: Store) -> IngestReport:
-    """Append every valid record; a bad record is counted and skipped without
-    aborting the stream. Flushes once at the end."""
+def ingest_stream(source: Iterable[Union[FeedRecord, ParseError]], store: Store) -> IngestReport:
+    """Append every valid record; a bad record, or a ParseError read_feed
+    yields for a line, is counted and skipped without aborting the stream.
+    Flushes once at the end."""
     report = IngestReport()
     t0 = time.perf_counter()
     with store.writer_role("ingest"):
@@ -117,6 +124,8 @@ def ingest_stream(source: Iterable[FeedRecord], store: Store) -> IngestReport:
         current_frame = None  # last frame accepted in *this* stream
         for rec in source:
             try:
+                if isinstance(rec, ParseError):
+                    raise rec
                 if isinstance(rec, FrameMeta):
                     if rec.frame_id <= last_frame:
                         raise OutOfOrderFrame(rec.frame_id)
@@ -134,7 +143,7 @@ def ingest_stream(source: Iterable[FeedRecord], store: Store) -> IngestReport:
                 else:
                     store.append(rec)
                     report.activities += 1
-            except (InvalidRecord, OutOfOrderFrame) as e:
+            except (ParseError, InvalidRecord, OutOfOrderFrame) as e:
                 report.rejected += 1
                 if len(report.errors) < MAX_ERRORS:
                     report.errors.append(str(e))

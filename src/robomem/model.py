@@ -150,33 +150,21 @@ class LocationEstimate:
 
 
 @dataclass(frozen=True)
-class Interval:
-    start: datetime
-    end: datetime
-    first_frame: int
-    last_frame: int
-
-
-@dataclass(frozen=True)
 class Track:
+    """A fused entity with one presence span, from its first sighting
+    (first_seen, first_frame) to its last (last_seen, last_frame)."""
     track_id: int
     label: str
     kind: str
     loc: LocationEstimate
-    intervals: tuple[Interval, ...]
     observation_count: int
-    existence_prob: float
     # running product of (1 - confidence_i); kept so existence can be
     # updated incrementally without replaying confidences
-    miss_prob: float = 0.0
-
-    @property
-    def last_seen(self) -> datetime:
-        return self.intervals[-1].end
-
-    @property
-    def last_frame(self) -> int:
-        return self.intervals[-1].last_frame
+    miss_prob: float
+    first_seen: datetime
+    last_seen: datetime
+    first_frame: int
+    last_frame: int
 
 
 @dataclass(frozen=True)

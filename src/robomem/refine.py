@@ -3,8 +3,10 @@
 A refinement pass walks detections the store has not yet attributed,
 associates each with an open track (same label and kind, recent enough,
 close enough in Mahalanobis terms) or starts a new one, fuses the
-observation into the track's location estimate, and maintains presence
-intervals and an existence probability per track.
+observation into the track's location estimate and running miss
+probability, and extends the track's one presence span, which runs from its
+first sighting to its last. A track absorbs a sighting only within the
+association gap of its last one, so a longer absence starts a new track.
 
 A pass costs what its detections touch, not what the store holds: each
 detection is offered only the same-(label, kind) tracks last seen within
@@ -24,7 +26,6 @@ from .errors import InvalidRecord, NonSPDCovariance
 from .model import (
     Detection,
     FrameMeta,
-    Interval,
     LocationEstimate,
     Track,
     mat2_add,
@@ -39,11 +40,10 @@ class RefinePolicy:
     obs_sigma_m: float = 2.0
     assoc_max_gap_s: float = 5.0
     assoc_max_mahalanobis: float = 3.0
-    interval_merge_gap_s: float = 60.0
     existence_decay_per_day: float = 0.0
 
     def validate(self) -> None:
-        for name in ("obs_sigma_m", "assoc_max_gap_s", "assoc_max_mahalanobis", "interval_merge_gap_s"):
+        for name in ("obs_sigma_m", "assoc_max_gap_s", "assoc_max_mahalanobis"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.existence_decay_per_day <= 1.0:
@@ -55,7 +55,6 @@ class RefinementReport:
     tracks_created: int = 0
     tracks_updated: int = 0
     observations_fused: int = 0
-    intervals_merged: int = 0
 
 
 def observation_from_detection(d: Detection, fm: FrameMeta,
@@ -108,29 +107,28 @@ class _OpenTrack:
     label: str
     kind: str
     loc: LocationEstimate
-    intervals: list[Interval]
     observation_count: int
     miss_prob: float
+    first_seen: datetime
     last_ts: datetime
+    first_frame: int
+    last_frame: int
 
     def to_track(self) -> Track:
         return Track(
-            track_id=self.track_id,
-            label=self.label,
-            kind=self.kind,
-            loc=self.loc,
-            intervals=tuple(self.intervals),
-            observation_count=self.observation_count,
-            existence_prob=min(max(1.0 - self.miss_prob, 0.0), 1.0),
-            miss_prob=self.miss_prob,
+            track_id=self.track_id, label=self.label, kind=self.kind, loc=self.loc,
+            observation_count=self.observation_count, miss_prob=self.miss_prob,
+            first_seen=self.first_seen, last_seen=self.last_ts,
+            first_frame=self.first_frame, last_frame=self.last_frame,
         )
 
     @staticmethod
     def from_track(t: Track) -> "_OpenTrack":
         return _OpenTrack(
             track_id=t.track_id, label=t.label, kind=t.kind, loc=t.loc,
-            intervals=list(t.intervals), observation_count=t.observation_count,
-            miss_prob=t.miss_prob, last_ts=t.intervals[-1].end,
+            observation_count=t.observation_count, miss_prob=t.miss_prob,
+            first_seen=t.first_seen, last_ts=t.last_seen,
+            first_frame=t.first_frame, last_frame=t.last_frame,
         )
 
 
@@ -166,16 +164,8 @@ def _absorb(t: _OpenTrack, d: Detection, fm: FrameMeta, policy: RefinePolicy,
     t.loc = fuse(t.loc, obs)
     t.observation_count += 1
     t.miss_prob *= (1.0 - d.confidence)
-    last = t.intervals[-1]
-    gap = (fm.ts - last.end).total_seconds()
-    if gap <= policy.interval_merge_gap_s:
-        t.intervals[-1] = Interval(start=last.start, end=fm.ts,
-                                   first_frame=last.first_frame, last_frame=fm.frame_id)
-        report.intervals_merged += 1
-    else:
-        t.intervals.append(Interval(start=fm.ts, end=fm.ts,
-                                    first_frame=fm.frame_id, last_frame=fm.frame_id))
     t.last_ts = fm.ts
+    t.last_frame = fm.frame_id
     report.observations_fused += 1
 
 
@@ -232,11 +222,9 @@ def run_refinement_pass(store, policy: RefinePolicy = RefinePolicy()) -> Refinem
                 opened[pos] = _OpenTrack(
                     track_id=tid, label=det.label, kind=det.kind,
                     loc=observation_from_detection(det, fm, policy),
-                    intervals=[Interval(start=fm.ts, end=fm.ts,
-                                        first_frame=fm.frame_id, last_frame=fm.frame_id)],
-                    observation_count=1,
-                    miss_prob=1.0 - det.confidence,
-                    last_ts=fm.ts,
+                    observation_count=1, miss_prob=1.0 - det.confidence,
+                    first_seen=fm.ts, last_ts=fm.ts,
+                    first_frame=fm.frame_id, last_frame=fm.frame_id,
                 )
                 insort(entries, (fm.ts, tid, pos))
                 next_id += 1

@@ -8,9 +8,10 @@ On-disk layout under the store root:
     summaries.json    warm (hourly) and cold (daily) tier summaries
     tracks.json       refinement state: cursor, next track id and one flat
                       row per track, [track_id, label, kind, mean_x, mean_y,
-                      c00, c01, c10, c11, observation_count, existence_prob,
-                      miss_prob, [[start_us, end_us, first_frame, last_frame],
-                      ...]]. Written at a flush only when the state changed.
+                      c00, c01, c10, c11, observation_count, miss_prob,
+                      first_us, last_us, first_frame, last_frame], the last
+                      four its presence span. Written at a flush only when
+                      the state changed.
     coverage.json     which (subject, activity, range) triples were analyzed
     lock              writer lock, held with flock by the writing process
 
@@ -70,7 +71,6 @@ from .model import (
     Detection,
     FeedRecord,
     FrameMeta,
-    Interval,
     KINDS,
     LocationEstimate,
     TimeRange,
@@ -83,7 +83,7 @@ from .model import (
 )
 from .refine import fuse, observation_at
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DEFAULT_SEGMENT_RECORDS = 8192
 
 HOUR_US = 3_600_000_000
@@ -288,7 +288,7 @@ class Store:
         self._tracks: list[Track] = []
         self._track_rows: Optional[list] = None  # tracks.json rows until first decoded
         self._refine_changed = False            # tracks.json is behind the state
-        # (label, kind) -> interval spans of its tracks, built on demand (_track_spans_of)
+        # (label, kind) -> spans of its tracks, built on demand (_track_spans_of)
         self._track_spans: dict[tuple[str, str], tuple[list[tuple[int, int, int]], list[int]]] = {}
 
         self._lock_fd: Optional[int] = None
@@ -754,8 +754,8 @@ class Store:
         return list(self._tracks)
 
     def track_for(self, label: str, kind: str, frame_id: int) -> Optional[Track]:
-        """The (label, kind) track whose presence intervals include this sighting
-        frame; the first such track in track order when intervals of several overlap.
+        """The (label, kind) track whose presence span includes this sighting
+        frame; the first such track in track order when spans of several overlap.
 
         Bisects the (label, kind) spans for those starting at or before the
         frame and walks them back only while one of them can still reach it."""
@@ -770,13 +770,12 @@ class Store:
         return self._tracks[best] if best >= 0 else None
 
     def _track_spans_of(self, key: tuple[str, str]) -> tuple[list[tuple[int, int, int]], list[int]]:
-        """The (label, kind) track intervals as (first frame, last frame,
-        track position), sorted, and the running maximum of their last frames."""
+        """The (label, kind) track spans as (first frame, last frame, track
+        position), sorted, and the running maximum of their last frames."""
         out = self._track_spans.get(key)
         if out is None:
-            spans = sorted((iv.first_frame, iv.last_frame, pos)
-                           for pos, t in enumerate(self.tracks()) if (t.label, t.kind) == key
-                           for iv in t.intervals)
+            spans = sorted((t.first_frame, t.last_frame, pos)
+                           for pos, t in enumerate(self.tracks()) if (t.label, t.kind) == key)
             out = self._track_spans[key] = (spans, _reach(spans))
         return out
 
@@ -789,7 +788,7 @@ class Store:
         target frames. Rewrites segments; raw records in migrated ranges are
         gone afterwards.
 
-        Tracks whose sightings were rolled up keep their intervals and fused
+        Tracks whose sightings were rolled up keep their spans and fused
         estimate. The refine cursor is renumbered with the detections it
         counts, so detections appended later are still refined."""
         report = MigrationReport(bytes_before=self._bytes_on_disk())
@@ -1016,13 +1015,11 @@ class Store:
 
 def _move_spans(spans: list[tuple[int, int, int]], old: Optional[Track], new: Track,
                 pos: int) -> None:
-    """Replace, in a label's sorted spans, those of the track at `pos` (None
-    if it is new) by those of its new version."""
+    """Replace, in a label's sorted spans, the span of the track at `pos`
+    (None if it is new) by that of its new version."""
     if old is not None:
-        for iv in old.intervals:
-            del spans[bisect_left(spans, (iv.first_frame, iv.last_frame, pos))]
-    for iv in new.intervals:
-        insort(spans, (iv.first_frame, iv.last_frame, pos))
+        del spans[bisect_left(spans, (old.first_frame, old.last_frame, pos))]
+    insort(spans, (new.first_frame, new.last_frame, pos))
 
 
 def _reach(spans: list[tuple[int, int, int]]) -> list[int]:
@@ -1036,18 +1033,16 @@ def _reach(spans: list[tuple[int, int, int]]) -> list[int]:
 def _track_to_row(t: Track) -> list:
     (c00, c01), (c10, c11) = t.loc.cov
     return [t.track_id, t.label, t.kind, t.loc.mean[0], t.loc.mean[1], c00, c01, c10, c11,
-            t.observation_count, t.existence_prob, t.miss_prob,
-            [[ts_to_micros(iv.start), ts_to_micros(iv.end), iv.first_frame, iv.last_frame]
-             for iv in t.intervals]]
+            t.observation_count, t.miss_prob, ts_to_micros(t.first_seen),
+            ts_to_micros(t.last_seen), t.first_frame, t.last_frame]
 
 
 def _track_from_row(row: list) -> Track:
-    track_id, label, kind, mx, my, c00, c01, c10, c11, n, existence, miss, intervals = row
+    track_id, label, kind, mx, my, c00, c01, c10, c11, n, miss, first_us, last_us, f0, f1 = row
     return Track(
         track_id=track_id, label=label, kind=kind,
         loc=LocationEstimate(mean=(mx, my), cov=((c00, c01), (c10, c11))),
-        intervals=tuple(Interval(start=ts_from_micros(a), end=ts_from_micros(b),
-                                 first_frame=f0, last_frame=f1)
-                        for a, b, f0, f1 in intervals),
-        observation_count=n, existence_prob=existence, miss_prob=miss,
+        observation_count=n, miss_prob=miss,
+        first_seen=ts_from_micros(first_us), last_seen=ts_from_micros(last_us),
+        first_frame=f0, last_frame=f1,
     )

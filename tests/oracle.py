@@ -65,9 +65,8 @@ class BruteTrack:
     kind: str
     mean: np.ndarray
     cov: np.ndarray
-    intervals: list  # [start, end, first_frame, last_frame]
+    span: list  # [first_ts, last_ts, first_frame, last_frame]
     miss: float
-    last_ts: object
 
 
 def brute_tracks(st: FeedState, policy: RefinePolicy) -> list[BruteTrack]:
@@ -81,7 +80,7 @@ def brute_tracks(st: FeedState, policy: RefinePolicy) -> list[BruteTrack]:
         for t in tracks:
             if t.label != det.label or t.kind != det.kind:
                 continue
-            gap = (fm.ts - t.last_ts).total_seconds()
+            gap = (fm.ts - t.span[1]).total_seconds()
             if gap < 0 or gap > policy.assoc_max_gap_s:
                 continue
             diff = obs_mean - t.mean
@@ -95,8 +94,8 @@ def brute_tracks(st: FeedState, policy: RefinePolicy) -> list[BruteTrack]:
             tracks.append(BruteTrack(
                 track_id=len(tracks), label=det.label, kind=det.kind,
                 mean=obs_mean, cov=obs_cov,
-                intervals=[[fm.ts, fm.ts, fm.frame_id, fm.frame_id]],
-                miss=1.0 - det.confidence, last_ts=fm.ts))
+                span=[fm.ts, fm.ts, fm.frame_id, fm.frame_id],
+                miss=1.0 - det.confidence))
         else:
             t = best[2]
             pi = np.linalg.inv(t.cov)
@@ -105,23 +104,15 @@ def brute_tracks(st: FeedState, policy: RefinePolicy) -> list[BruteTrack]:
             t.mean = cov @ (pi @ t.mean + oi @ obs_mean)
             t.cov = cov
             t.miss *= (1.0 - det.confidence)
-            last = t.intervals[-1]
-            if (fm.ts - last[1]).total_seconds() <= policy.interval_merge_gap_s:
-                last[1] = fm.ts
-                last[3] = fm.frame_id
-            else:
-                t.intervals.append([fm.ts, fm.ts, fm.frame_id, fm.frame_id])
-            t.last_ts = fm.ts
+            t.span[1] = fm.ts
+            t.span[3] = fm.frame_id
     return tracks
 
 
 def track_containing(tracks: list[BruteTrack], label: str, kind: str, frame_id: int):
     for t in tracks:
-        if t.label != label or t.kind != kind:
-            continue
-        for _s, _e, f0, f1 in t.intervals:
-            if f0 <= frame_id <= f1:
-                return t
+        if t.label == label and t.kind == kind and t.span[2] <= frame_id <= t.span[3]:
+            return t
     return None
 
 

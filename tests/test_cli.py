@@ -76,6 +76,23 @@ def test_ingest_reports_rates(loaded, capsys, tmp_path, feed):
     assert payload["bytes_per_frame"] <= 275
 
 
+def test_ingest_bad_line_reported_and_rest_ingested(tmp_path, feed, capsys):
+    with open(feed) as fh:
+        lines = fh.readlines()
+    lines.insert(282, "{not json\n")
+    with open(feed, "w") as fh:
+        fh.writelines(lines)
+    store = str(tmp_path / "store")
+    assert main(["--store", store, "init"]) == 0
+    assert main(["--store", store, "--format", "json", "ingest", "--feed", feed]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert (payload["frames"], payload["rejected"]) == (720, 1)
+    assert "line 283: bad JSON" in err
+    rc, payload = run_json(capsys, ["--store", store, "--format", "json", "stats"])
+    assert payload["frames"] == 720
+
+
 def test_ingest_refine_bytes_per_frame_counts_refine_state(tmp_path, feed, capsys):
     store = str(tmp_path / "store")
     assert main(["--store", store, "init"]) == 0
@@ -224,6 +241,15 @@ def test_policy_file_and_flag_precedence(loaded, tmp_path, capsys):
     # the bad file value is overridden by the flag, so the pass runs
     rc = main(["--store", store, "refine", "--policy-file", pf, "--assoc-gap", "4.0"])
     assert rc == 0
+
+
+def test_policy_file_unknown_key_refused(loaded, tmp_path, capsys):
+    store, _feed = loaded
+    pf = str(tmp_path / "policy.json")
+    with open(pf, "w") as fh:
+        json.dump({"obs_sigma_m": 1.5, "interval_merge_gap_s": 60.0}, fh)
+    assert main(["--store", store, "refine", "--policy-file", pf]) == 2
+    assert "interval_merge_gap_s" in capsys.readouterr().err
 
 
 def test_refine_without_policy_flags_uses_defaults(loaded, monkeypatch):

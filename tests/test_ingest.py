@@ -126,6 +126,25 @@ def test_feed_roundtrip_through_file(tmp_path, store):
     assert parsed == records
 
 
+def test_bad_line_is_rejected_and_the_rest_ingested(tmp_path, store):
+    _gt, records = generate_scenario(small_scenario(seed=3))
+    buf = io.StringIO()
+    write_feed(buf, records)
+    lines = buf.getvalue().splitlines(keepends=True)
+    mid = len(lines) // 2
+    lines.insert(mid, "{not json\n")
+    report = ingest_stream(read_feed(io.StringIO("".join(lines))), store)
+    assert report.rejected == 1
+    assert len(report.errors) == 1 and report.errors[0].startswith(f"line {mid + 1}: bad JSON")
+    assert report.frames == sum(isinstance(r, FrameMeta) for r in records)
+    assert report.detections == sum(isinstance(r, Detection) for r in records)
+    root = store.root
+    store.close(flush=False)  # what ingest_stream did not flush is lost
+    with Store.open(root, mode="ro") as s:
+        assert s.frame_count() == report.frames
+        assert s.detection_count() == report.detections
+
+
 def test_conservation(populated):
     store, _gt, records = populated
     frame_records = sum(isinstance(r, FrameMeta) for r in records)

@@ -11,7 +11,6 @@ from robomem.model import (
     KINDS,
     Detection,
     FrameMeta,
-    Interval,
     LocationEstimate,
     Pose,
     Track,
@@ -192,23 +191,23 @@ def test_pass_idempotent(store):
     assert store.load_refine_state() == state1
 
 
-def test_interval_merging_rule(store):
-    # sightings spanning 10 s with max gap 2 s -> one interval
+def test_sightings_within_gap_extend_one_span(store):
+    # six sightings 2 s apart with a 5 s association gap -> one track whose
+    # span covers all 10 s
     _feed_static_object(store, [(0.0, 0.0)] * 6, dt_s=2.0)
-    run_refinement_pass(store, RefinePolicy(assoc_max_gap_s=5.0, interval_merge_gap_s=60.0))
+    run_refinement_pass(store, RefinePolicy(assoc_max_gap_s=5.0))
     (track,) = store.tracks()
-    assert len(track.intervals) == 1
-    assert (track.intervals[0].end - track.intervals[0].start).total_seconds() == 10.0
+    assert (track.last_seen - track.first_seen).total_seconds() == 10.0
+    assert (track.first_frame, track.last_frame) == (0, 5)
 
 
-def test_interval_endpoints_are_sighting_timestamps(store):
+def test_span_endpoints_are_sighting_timestamps(store):
     _feed_static_object(store, [(0.0, 0.0)] * 5)
     run_refinement_pass(store)
     sighting_ts = {store.frame_by_id(f).ts for f in range(5)}
     for t in store.tracks():
-        for iv in t.intervals:
-            assert iv.start in sighting_ts and iv.end in sighting_ts
-            assert iv.start <= iv.end
+        assert t.first_seen in sighting_ts and t.last_seen in sighting_ts
+        assert t.first_seen <= t.last_seen
 
 
 def test_association_determinism(tmp_path):
@@ -241,8 +240,7 @@ def _assert_oracle_tracks(store, records, policy=RefinePolicy()):
     assert len(got) == len(want)
     for t, b in zip(got, want):
         assert (t.track_id, t.label, t.kind) == (b.track_id, b.label, b.kind)
-        assert [(iv.start, iv.end, iv.first_frame, iv.last_frame) for iv in t.intervals] == \
-            [tuple(iv) for iv in b.intervals]
+        assert [t.first_seen, t.last_seen, t.first_frame, t.last_frame] == b.span
         assert t.miss_prob == pytest.approx(b.miss, abs=1e-12)
         assert t.loc.mean == pytest.approx(tuple(b.mean), abs=1e-9)
         assert [x for row in t.loc.cov for x in row] == pytest.approx(b.cov.ravel().tolist(), abs=1e-9)
@@ -375,12 +373,11 @@ def test_fused_mean_converges_on_static_object(store):
 
 
 # ---------------------------------------------------------------------------
-# track_for against a scan of every track and interval
+# track_for against a scan of every track's span
 
 def brute_track_for(tracks, label, kind, frame_id):
     for t in tracks:
-        if (t.label, t.kind) == (label, kind) and any(
-                iv.first_frame <= frame_id <= iv.last_frame for iv in t.intervals):
+        if (t.label, t.kind) == (label, kind) and t.first_frame <= frame_id <= t.last_frame:
             return t
     return None
 
@@ -424,21 +421,20 @@ def test_track_for_first_track_wins_on_overlap(store):
     for f in range(21):
         store.append(FrameMeta(f, T0 + timedelta(seconds=f), Pose(0.0, 0.0)))
 
-    def track(tid, label, *spans, kind="object"):
-        ivs = tuple(Interval(start=T0 + timedelta(seconds=a), end=T0 + timedelta(seconds=b),
-                             first_frame=a, last_frame=b) for a, b in spans)
+    def track(tid, label, first, last, kind="object"):
         return Track(track_id=tid, label=label, kind=kind, loc=at(0.0, 0.0),
-                     intervals=ivs, observation_count=len(ivs), existence_prob=0.5,
-                     miss_prob=0.5)
+                     observation_count=2, miss_prob=0.5,
+                     first_seen=T0 + timedelta(seconds=first), last_seen=T0 + timedelta(seconds=last),
+                     first_frame=first, last_frame=last)
 
-    a = track(5, "cup", (5, 10))
-    b = track(1, "cup", (0, 7), (9, 15))
-    c = track(2, "book", (0, 20))
-    d = track(3, "cup", (12, 12), (17, 18))
-    e = track(6, "cup", (16, 19))
-    b2 = track(1, "cup", (0, 7), (9, 16))
-    p = track(7, "cup", (3, 14), kind="person")
-    p2 = track(7, "cup", (3, 17), kind="person")
+    a = track(5, "cup", 5, 12)
+    b = track(1, "cup", 0, 7)
+    c = track(2, "book", 0, 20)
+    d = track(3, "cup", 12, 13)
+    e = track(6, "cup", 16, 19)
+    b2 = track(1, "cup", 0, 8)
+    p = track(7, "cup", 3, 14, kind="person")
+    p2 = track(7, "cup", 3, 17, kind="person")
     # reordered, then appended to and changed in place as a refinement pass
     # does, then a position changing kind, then cut short
     states = ([a, b, c, d], [b, a, d, c], [d, c, b, a], [d, c, b, a, e], [d, c, b2, a, e],
@@ -451,8 +447,8 @@ def test_track_for_first_track_wins_on_overlap(store):
                     assert store.track_for(label, kind, f) is \
                         brute_track_for(tracks, label, kind, f)
         if tracks is states[2]:
-            assert store.track_for("cup", "object", 12) is d  # d comes first, b also holds 12
-            assert store.track_for("cup", "object", 6) is b
+            assert store.track_for("cup", "object", 12) is d  # d comes first, a also holds 12
+            assert store.track_for("cup", "object", 6) is b  # b comes first, a also holds 6
             assert store.track_for("cup", "object", 8) is a
             assert store.track_for("cup", "object", 16) is None
             assert store.track_for("cup", "person", 6) is None

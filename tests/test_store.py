@@ -112,13 +112,13 @@ def test_killed_writer_releases_lock(tmp_path, death):
 
 
 def test_newer_version_refused(tmp_path, store):
-    # a newer store, and a version-1 store with the old tracks.json, are
-    # both refused; nothing converts them
+    # a newer store, and a version-1 or version-2 store with an old
+    # tracks.json, are all refused; nothing converts them
     store.close()
     p = os.path.join(store.root, "manifest.json")
     with open(p) as fh:
         m = json.load(fh)
-    for version in (99, 1):
+    for version in (99, 1, 2):
         m["version"] = version
         with open(p, "w") as fh:
             json.dump(m, fh)

@@ -133,7 +133,10 @@ def test_bad_line_is_rejected_and_the_rest_ingested(tmp_path, store):
     lines = buf.getvalue().splitlines(keepends=True)
     mid = len(lines) // 2
     lines.insert(mid, "{not json\n")
-    report = ingest_stream(read_feed(io.StringIO("".join(lines))), store)
+    fed = list(read_feed(io.StringIO("".join(lines))))
+    bad = [r for r in fed if isinstance(r, ParseError)]
+    assert len(bad) == 1 and bad[0].line_no == mid + 1 and fed[mid] is bad[0]
+    report = ingest_stream(iter(fed), store)
     assert report.rejected == 1
     assert len(report.errors) == 1 and report.errors[0].startswith(f"line {mid + 1}: bad JSON")
     assert report.frames == sum(isinstance(r, FrameMeta) for r in records)

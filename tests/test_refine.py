@@ -427,10 +427,10 @@ def test_track_for_first_track_wins_on_overlap(store):
                      first_seen=T0 + timedelta(seconds=first), last_seen=T0 + timedelta(seconds=last),
                      first_frame=first, last_frame=last)
 
-    a = track(5, "cup", 5, 12)
+    a = track(5, "cup", 5, 14)
     b = track(1, "cup", 0, 7)
     c = track(2, "book", 0, 20)
-    d = track(3, "cup", 12, 13)
+    d = track(3, "cup", 12, 12)  # inside a: two cups the gate keeps apart
     e = track(6, "cup", 16, 19)
     b2 = track(1, "cup", 0, 8)
     p = track(7, "cup", 3, 14, kind="person")
@@ -450,6 +450,10 @@ def test_track_for_first_track_wins_on_overlap(store):
             assert store.track_for("cup", "object", 12) is d  # d comes first, a also holds 12
             assert store.track_for("cup", "object", 6) is b  # b comes first, a also holds 6
             assert store.track_for("cup", "object", 8) is a
+            # past d's end the walk goes back over d to a, which still holds it
+            assert store.track_for("cup", "object", 13) is a
+            assert store.track_for("cup", "object", 14) is a
+            assert store.track_for("cup", "object", 15) is None
             assert store.track_for("cup", "object", 16) is None
             assert store.track_for("cup", "person", 6) is None
         if tracks is states[5]:

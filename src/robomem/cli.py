@@ -78,23 +78,38 @@ class UsageError(RoboMemError):
 
 
 def _policy_from_args(args) -> RefinePolicy:
+    """The refine policy of the flags over the policy file over the defaults;
+    a malformed file or an out-of-range value is a UsageError."""
     base = {}
     if getattr(args, "policy_file", None):
         with open(args.policy_file) as fh:
-            base = json.load(fh)
+            try:
+                base = json.load(fh)
+            except ValueError as e:
+                raise UsageError(f"{args.policy_file}: {e}") from None
+        if not isinstance(base, dict):
+            raise UsageError(f"{args.policy_file}: a policy file holds one JSON object")
         unknown = sorted(set(base) - {f.name for f in fields(RefinePolicy)})
         if unknown:
             raise UsageError(f"{args.policy_file}: unknown policy key(s): {', '.join(unknown)}")
     default = RefinePolicy()
     def pick(flag, key):
         v = getattr(args, flag, None)
-        return v if v is not None else base.get(key, getattr(default, key))
-    return RefinePolicy(
+        v = v if v is not None else base.get(key, getattr(default, key))
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise UsageError(f"refine policy: {key} must be a number, not {v!r}")
+        return v
+    policy = RefinePolicy(
         obs_sigma_m=pick("obs_sigma", "obs_sigma_m"),
         assoc_max_gap_s=pick("assoc_gap", "assoc_max_gap_s"),
         assoc_max_mahalanobis=pick("assoc_mahalanobis", "assoc_max_mahalanobis"),
         existence_decay_per_day=pick("decay", "existence_decay_per_day"),
     )
+    try:
+        policy.validate()
+    except ValueError as e:
+        raise UsageError(f"refine policy: {e}") from None
+    return policy
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -243,6 +258,8 @@ def cmd_migrate(args) -> int:
 
 
 def cmd_query(args) -> int:
+    if args.budget < 1:
+        raise UsageError("--budget must be >= 1")
     text = resolve_relative(args.query, args.now)
     try:
         ast = parse_query(text)

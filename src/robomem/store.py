@@ -2,20 +2,21 @@
 
 On-disk layout under the store root:
 
-    manifest.json     versioned manifest; lists the live segment files and
-                      tier boundaries. Written atomically (tmp + rename).
+    manifest.json     the store's one commit record, written atomically (tmp +
+                      rename): the live segment files, the warm (hourly) and
+                      cold (daily) tier summaries as flat rows, and the
+                      analyzed time as (subject, activity, from_us, to_us)
+                      coverage rows. One rename publishes all of them.
     segments/NNNN.seg append-only binary record log (source of truth)
-    summaries.json    warm (hourly) and cold (daily) tier summaries
     tracks.json       refinement state: cursor, next track id and one flat
                       row per track, [track_id, label, kind, mean_x, mean_y,
                       c00, c01, c10, c11, observation_count, miss_prob,
                       first_us, last_us, first_frame, last_frame], the last
-                      four its presence span. Written at a flush only when
-                      the state changed.
-    coverage.json     which (subject, activity, range) triples were analyzed
+                      four its presence span. Written right after the
+                      manifest, and only when the state changed.
     lock              writer lock, held with flock by the writing process
 
-Segments plus the json sidecars are authoritative. Everything else lives
+The segments and the manifest are authoritative. Everything else lives
 only in memory and is rebuilt from the segments at open, so no index file is
 written:
 
@@ -75,15 +76,13 @@ from .model import (
     LocationEstimate,
     TimeRange,
     Track,
-    loc_from_json,
-    loc_to_json,
     ts_from_micros,
     ts_to_micros,
     validate_record,
 )
 from .refine import fuse, observation_at
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 DEFAULT_SEGMENT_RECORDS = 8192
 
 HOUR_US = 3_600_000_000
@@ -113,25 +112,6 @@ class LabelSummary:
     loc: LocationEstimate
     detect_prob: float
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label, "kind": self.kind, "tier": self.tier,
-            "bucket_us": self.bucket_us, "count": self.count,
-            "first_frame": self.first_frame, "last_frame": self.last_frame,
-            "first_ts_us": self.first_ts_us, "last_ts_us": self.last_ts_us,
-            "loc": loc_to_json(self.loc), "detect_prob": self.detect_prob,
-        }
-
-    @staticmethod
-    def from_json(d: dict) -> "LabelSummary":
-        return LabelSummary(
-            label=d["label"], kind=d["kind"], tier=d["tier"],
-            bucket_us=d["bucket_us"], count=d["count"],
-            first_frame=d["first_frame"], last_frame=d["last_frame"],
-            first_ts_us=d["first_ts_us"], last_ts_us=d["last_ts_us"],
-            loc=loc_from_json(d["loc"]), detect_prob=d["detect_prob"],
-        )
-
 
 @dataclass
 class ActivitySummary:
@@ -143,25 +123,6 @@ class ActivitySummary:
     count: int
     prob: float
     loc: Optional[LocationEstimate] = None
-
-    def to_json(self) -> dict:
-        out = {
-            "subject": self.subject, "name": self.name, "tier": self.tier,
-            "bucket_us": self.bucket_us, "seconds": self.seconds,
-            "count": self.count, "prob": self.prob,
-        }
-        if self.loc is not None:
-            out["loc"] = loc_to_json(self.loc)
-        return out
-
-    @staticmethod
-    def from_json(d: dict) -> "ActivitySummary":
-        return ActivitySummary(
-            subject=d["subject"], name=d["name"], tier=d["tier"],
-            bucket_us=d["bucket_us"], seconds=d["seconds"],
-            count=d["count"], prob=d["prob"],
-            loc=loc_from_json(d["loc"]) if "loc" in d else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -282,7 +243,8 @@ class Store:
 
         self._label_summaries: list[LabelSummary] = []
         self._activity_summaries: list[ActivitySummary] = []
-        self._coverage: list[dict] = []
+        # analyzed time: (subject, activity, from_us, to_us) per span
+        self._coverage: list[tuple[Optional[str], str, int, int]] = []
         self._refine_cursor = 0                 # detections refined so far
         self._next_track_id = 0
         self._tracks: list[Track] = []
@@ -300,13 +262,7 @@ class Store:
     @classmethod
     def create(cls, root: str) -> "Store":
         os.makedirs(os.path.join(root, "segments"), exist_ok=True)
-        manifest = {
-            "version": FORMAT_VERSION,
-            "segment_max_records": DEFAULT_SEGMENT_RECORDS,
-            "segments": [],
-            "next_segment_no": 0,
-        }
-        _atomic_write_json(os.path.join(root, "manifest.json"), manifest)
+        cls(root, mode="rw")._commit()
         return cls.open(root, mode="rw")
 
     @classmethod
@@ -369,21 +325,10 @@ class Store:
                     fh.truncate(good)
             self._segment_counts.append(
                 len(records) + len(self._frames) + len(self._detections) - held_before)
-            for rec in records:
-                self._index_record(rec)
-        self._load_sidecars()
-
-    def _load_sidecars(self) -> None:
-        p = os.path.join(self.root, "summaries.json")
-        if os.path.exists(p):
-            with open(p, "rb") as fh:
-                d = json.load(fh)
-            self._label_summaries = [LabelSummary.from_json(x) for x in d.get("labels", [])]
-            self._activity_summaries = [ActivitySummary.from_json(x) for x in d.get("activities", [])]
-        p = os.path.join(self.root, "coverage.json")
-        if os.path.exists(p):
-            with open(p, "rb") as fh:
-                self._coverage = json.load(fh)
+            self._activities.extend(records)  # the records left are activities
+        self._label_summaries = [_label_summary_from_row(r) for r in manifest["labels"]]
+        self._activity_summaries = [_activity_summary_from_row(r) for r in manifest["activities"]]
+        self._coverage = [tuple(c) for c in manifest["coverage"]]
         p = os.path.join(self.root, "tracks.json")
         if os.path.exists(p):
             with open(p, "rb") as fh:
@@ -391,24 +336,6 @@ class Store:
             self._refine_cursor = state["cursor"]
             self._next_track_id = state["next_track_id"]
             self._track_rows = state["tracks"]
-
-    # --------------------------------------------------------------- indexing
-
-    def _index_record(self, rec: FeedRecord) -> None:
-        """Index a detection or an activity; frames go to the frame table."""
-        if isinstance(rec, Detection):
-            pos = self._frames.position(rec.frame_id)
-            if pos < 0:
-                raise CorruptSegment(f"detection of unknown frame {rec.frame_id}")
-            self._detections.append(pos, rec)
-        elif isinstance(rec, ActivityEvent):
-            self._activities.append(rec)
-            if rec.provenance == "ingested":
-                # an ingested event is itself evidence of analyzed time
-                self._coverage.append({
-                    "subject": rec.subject, "activity": rec.name,
-                    "from_us": ts_to_micros(rec.start), "to_us": ts_to_micros(rec.end),
-                })
 
     # ----------------------------------------------------------------- writes
 
@@ -428,11 +355,18 @@ class Store:
         # reopened store would see (pose z/angles quantize through f32)
         if isinstance(record, FrameMeta):
             self._frames.append_encoded(data)
-        else:
-            self._index_record(segcodec.decode_payload(data[0], data[3:-4]))
+            return
+        rec = segcodec.decode_payload(data[0], data[3:-4])
+        if isinstance(rec, Detection):
+            self._detections.append(self._frames.position(rec.frame_id), rec)
+            return
+        self._activities.append(rec)
+        if rec.provenance == "ingested":  # an ingested event is itself analyzed time
+            self._coverage.append((rec.subject, rec.name, ts_to_micros(rec.start),
+                                   ts_to_micros(rec.end)))
 
     def flush(self) -> None:
-        """Make all pending appends durable and persist the sidecars."""
+        """Make all pending appends durable and commit them (see _commit)."""
         if self.mode != "rw":
             raise ReadOnlyStore("store opened read-only")
         if self._pending:
@@ -457,25 +391,20 @@ class Store:
                 self._segment_counts[-1] += take
                 remaining -= take
             self._pending = []
-        self._write_manifest()
-        self._write_sidecars()
+        self._commit()
 
-    def _write_manifest(self) -> None:
+    def _commit(self) -> None:
+        """Publish the segments, tier summaries and coverage with one
+        manifest rename, then write tracks.json if the refine state changed."""
         _atomic_write_json(os.path.join(self.root, "manifest.json"), {
             "version": FORMAT_VERSION,
             "segment_max_records": self._segment_max,
             "segments": self._segments,
             "next_segment_no": self._next_segment_no,
+            "labels": [_label_summary_row(s) for s in self._label_summaries],
+            "activities": [_activity_summary_row(s) for s in self._activity_summaries],
+            "coverage": self._coverage,
         })
-
-    def _write_sidecars(self) -> None:
-        if self._label_summaries or self._activity_summaries:
-            _atomic_write_json(os.path.join(self.root, "summaries.json"), {
-                "labels": [s.to_json() for s in self._label_summaries],
-                "activities": [s.to_json() for s in self._activity_summaries],
-            })
-        if self._coverage:
-            _atomic_write_json(os.path.join(self.root, "coverage.json"), self._coverage)
         if self._refine_changed:
             _atomic_write_json(os.path.join(self.root, "tracks.json"), {
                 "cursor": self._refine_cursor,
@@ -668,10 +597,7 @@ class Store:
     def mark_covered(self, subject: Optional[str], activity: str, rng: TimeRange) -> None:
         if self.mode != "rw":
             raise ReadOnlyStore("store opened read-only")
-        self._coverage.append({
-            "subject": subject, "activity": activity,
-            "from_us": ts_to_micros(rng.start), "to_us": ts_to_micros(rng.end),
-        })
+        self._coverage.append((subject, activity, ts_to_micros(rng.start), ts_to_micros(rng.end)))
 
     def is_covered(self, subject: Optional[str], activity: str, rng: TimeRange) -> bool:
         """True iff the union of matching coverage spans contains the range.
@@ -681,16 +607,8 @@ class Store:
         subjectless spans count for it. An instant is covered only by a span
         that contains it.
         """
-        spans = []
-        for c in self._coverage:
-            if c["activity"] != activity:
-                continue
-            if c["subject"] is not None and subject is not None and c["subject"] != subject:
-                continue
-            if c["subject"] is not None and subject is None:
-                continue
-            spans.append((c["from_us"], c["to_us"]))
-        spans.sort()
+        spans = sorted((lo, hi) for s, a, lo, hi in self._coverage
+                       if a == activity and s in (None, subject))
         need_lo, need_hi = ts_to_micros(rng.start), ts_to_micros(rng.end)
         reach = need_lo  # spans so far cover [need_lo, reach] once one meets need_lo
         for lo, hi in spans:
@@ -872,7 +790,7 @@ class Store:
                     self._refine_changed = True
                 self._rewrite_segments(keep, keep_activities)
             else:
-                self._write_sidecars()
+                self._commit()
         report.bytes_after = self._bytes_on_disk()
         return report
 
@@ -973,17 +891,11 @@ class Store:
         self._segments = new_names
         self._segment_counts = new_counts
 
-        # rebuild the detection and activity state from the surviving records
+        # the surviving records; coverage is historical fact and stays as it is
         self._detections = dets.select(keep)
-        self._activities.clear()
-        saved_cov = self._coverage
-        self._coverage = []
-        for rec in activities:
-            self._index_record(rec)
-        self._coverage = saved_cov  # coverage is historical fact, not re-derived
+        self._activities = activities
 
-        self._write_manifest()
-        self._write_sidecars()
+        self._commit()
         for name in old:
             try:
                 os.unlink(os.path.join(self.root, "segments", name))
@@ -1028,21 +940,52 @@ def _reach(spans: list[tuple[int, int, int]]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# track (de)serialization: one flat row per track in tracks.json
+# (de)serialization: one flat row per track in tracks.json, and per tier
+# summary in the manifest; a location is the six numbers of _loc_row
+
+def _loc_row(loc: LocationEstimate) -> list:
+    (c00, c01), (c10, c11) = loc.cov
+    return [loc.mean[0], loc.mean[1], c00, c01, c10, c11]
+
+
+def _loc_from_row(mx, my, c00, c01, c10, c11) -> LocationEstimate:
+    return LocationEstimate(mean=(mx, my), cov=((c00, c01), (c10, c11)))
+
 
 def _track_to_row(t: Track) -> list:
-    (c00, c01), (c10, c11) = t.loc.cov
-    return [t.track_id, t.label, t.kind, t.loc.mean[0], t.loc.mean[1], c00, c01, c10, c11,
+    return [t.track_id, t.label, t.kind, *_loc_row(t.loc),
             t.observation_count, t.miss_prob, ts_to_micros(t.first_seen),
             ts_to_micros(t.last_seen), t.first_frame, t.last_frame]
 
 
 def _track_from_row(row: list) -> Track:
-    track_id, label, kind, mx, my, c00, c01, c10, c11, n, miss, first_us, last_us, f0, f1 = row
+    track_id, label, kind = row[:3]
+    n, miss, first_us, last_us, f0, f1 = row[9:]
     return Track(
-        track_id=track_id, label=label, kind=kind,
-        loc=LocationEstimate(mean=(mx, my), cov=((c00, c01), (c10, c11))),
+        track_id=track_id, label=label, kind=kind, loc=_loc_from_row(*row[3:9]),
         observation_count=n, miss_prob=miss,
         first_seen=ts_from_micros(first_us), last_seen=ts_from_micros(last_us),
         first_frame=f0, last_frame=f1,
     )
+
+
+def _label_summary_row(s: LabelSummary) -> list:
+    """[label, kind, tier, bucket_us, count, first_frame, last_frame,
+    first_ts_us, last_ts_us, *loc, detect_prob]"""
+    return [s.label, s.kind, s.tier, s.bucket_us, s.count, s.first_frame, s.last_frame,
+            s.first_ts_us, s.last_ts_us, *_loc_row(s.loc), s.detect_prob]
+
+
+def _label_summary_from_row(row: list) -> LabelSummary:
+    return LabelSummary(*row[:9], _loc_from_row(*row[9:15]), row[15])
+
+
+def _activity_summary_row(s: ActivitySummary) -> list:
+    """[subject, name, tier, bucket_us, seconds, count, prob, *loc], the
+    location left out when there is none"""
+    return [s.subject, s.name, s.tier, s.bucket_us, s.seconds, s.count, s.prob,
+            *(_loc_row(s.loc) if s.loc is not None else ())]
+
+
+def _activity_summary_from_row(row: list) -> ActivitySummary:
+    return ActivitySummary(*row[:7], _loc_from_row(*row[7:]) if len(row) > 7 else None)

@@ -243,13 +243,27 @@ def test_policy_file_and_flag_precedence(loaded, tmp_path, capsys):
     assert rc == 0
 
 
-def test_policy_file_unknown_key_refused(loaded, tmp_path, capsys):
+@pytest.mark.parametrize("policy, argv, message", [
+    ({"obs_sigma_m": 1.5, "interval_merge_gap_s": 60.0}, ["refine"], "interval_merge_gap_s"),
+    ([1], ["refine"], "one JSON object"),
+    ("{", ["refine"], "policy.json"),
+    ({"existence_decay_per_day": "high"}, ["refine"], "existence_decay_per_day"),
+    (None, ["refine", "--assoc-gap", "-1"], "assoc_max_gap_s must be positive"),
+    (None, ["query", "--budget", "0", 'DID activity="dance" subject="ifrah" '
+            'FROM 2019-06-01T00:00:00Z TO 2019-06-01T00:02:00Z'], "--budget must be >= 1"),
+], ids=["unknown-key", "not-an-object", "not-json", "wrong-type", "negative-gap", "zero-budget"])
+def test_policy_file_unknown_key_refused(loaded, tmp_path, capsys, policy, argv, message):
+    """A malformed policy file or an out-of-range value exits 2 with a
+    message, not a traceback."""
     store, _feed = loaded
-    pf = str(tmp_path / "policy.json")
-    with open(pf, "w") as fh:
-        json.dump({"obs_sigma_m": 1.5, "interval_merge_gap_s": 60.0}, fh)
-    assert main(["--store", store, "refine", "--policy-file", pf]) == 2
-    assert "interval_merge_gap_s" in capsys.readouterr().err
+    if policy is not None:
+        pf = str(tmp_path / "policy.json")
+        with open(pf, "w") as fh:
+            fh.write(policy if isinstance(policy, str) else json.dumps(policy))
+        argv = argv + ["--policy-file", pf]
+    assert main(["--store", store] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_refine_without_policy_flags_uses_defaults(loaded, monkeypatch):

@@ -31,6 +31,7 @@ from robomem.model import (
 )
 from robomem.query import run_query
 from robomem.refine import run_refinement_pass
+from robomem.reprocess import OracleReprocessor, run_reprocess
 from robomem.scenario import generate_scenario
 from robomem.segment import decode_payload, encode_record, scan_segment
 from robomem.store import FORMAT_VERSION, Store, TierPolicy
@@ -112,13 +113,14 @@ def test_killed_writer_releases_lock(tmp_path, death):
 
 
 def test_newer_version_refused(tmp_path, store):
-    # a newer store, and a version-1 or version-2 store with an old
-    # tracks.json, are all refused; nothing converts them
+    # a newer store is refused, and so is an older one: versions 1 and 2
+    # with an old tracks.json, and version 3 with its tier summaries and
+    # coverage in summaries.json and coverage.json; nothing converts them
     store.close()
     p = os.path.join(store.root, "manifest.json")
     with open(p) as fh:
         m = json.load(fh)
-    for version in (99, 1, 2):
+    for version in (99, 1, 2, 3):
         m["version"] = version
         with open(p, "w") as fh:
             json.dump(m, fh)
@@ -668,6 +670,86 @@ def test_migration_retains_frames_for_reprocessing(tmp_path):
     s.migrate_tiers(now, TierPolicy(hot_window=timedelta(days=7)))
     assert s.frame_count() == frames_before
     s.close()
+
+
+def _sightings(store):
+    """Each label's raw hits plus the counts of its tier summaries."""
+    return {label: sum(h.count for h in store.find_by_label(label)) for label in store.labels()}
+
+
+def test_migration_crash_at_any_rename_keeps_counts(tmp_path, monkeypatch):
+    """For every k, a failure at the k-th os.replace of a migration leaves a
+    store that reopens with every label's raw hits plus summary counts as
+    they were before it: the manifest that drops raw detections is the one
+    that publishes their summaries."""
+    s, _gt, _records = migration_fixture(tmp_path)
+    run_refinement_pass(s)  # so the migration rebases the refine cursor too
+    policy = TierPolicy(hot_window=timedelta(days=7))
+    now = s.time_bounds().start + timedelta(seconds=90) + policy.hot_window
+    before = _sightings(s)
+    s.close()
+    real_replace = os.replace
+    for k in range(1, 10):
+        root = str(tmp_path / f"crash{k}")
+        shutil.copytree(s.root, root)
+        calls = []
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == k:
+                raise OSError(f"injected failure at os.replace #{k}")
+            real_replace(src, dst)
+
+        st = Store.open(root, mode="rw")
+        monkeypatch.setattr(os, "replace", failing_replace)
+        try:
+            report = st.migrate_tiers(now, policy)
+        except OSError:
+            report = None
+        finally:
+            monkeypatch.setattr(os, "replace", real_replace)
+        st.close(flush=False)
+        reopened = Store.open(root, mode="ro")
+        assert _sightings(reopened) == before, f"failure at os.replace #{k}"
+        reopened.close()
+        if report is not None:
+            break
+    assert report is not None and report.detections_migrated > 0
+    assert k == 3  # the manifest, then tracks.json, then no failure
+
+
+def test_store_files_are_manifest_segments_and_tracks(tmp_path):
+    """After ingest, refine, reprocess and migrate the store root holds only
+    the manifest, the lock, the segments and tracks.json, and a read-only
+    reopen answers summary and coverage reads as the writer does."""
+    s, gt, _records = migration_fixture(tmp_path)
+    run_refinement_pass(s)
+    full = s.time_bounds()
+    first = run_query(f'DID activity="dance" subject="ifrah" FROM {full.start:%Y-%m-%dT%H:%M:%SZ} '
+                      f'TO {full.end:%Y-%m-%dT%H:%M:%SZ}', s)
+    assert run_reprocess(s, first.request, OracleReprocessor(gt)).coverage_marked
+    policy = TierPolicy(hot_window=timedelta(days=7))
+    report = s.migrate_tiers(full.start + timedelta(seconds=90) + policy.hot_window, policy)
+    assert report.detections_migrated > 0 and report.activities_migrated > 0
+    s.flush()
+    assert sorted(os.listdir(s.root)) == ["lock", "manifest.json", "segments", "tracks.json"]
+
+    early = TimeRange(full.start, full.start + timedelta(seconds=30))
+    probes = [(subject, activity, rng)
+              for subject in (None, "ifrah", "steve")
+              for activity in ("walk", "sleep", "dance")
+              for rng in (full, early)]
+
+    def reads(st):
+        return (st.label_summaries(), st.activity_summaries(),
+                [st.is_covered(*p) for p in probes])
+
+    writer = reads(s)
+    assert writer[0] and writer[1] and any(writer[2]) and not all(writer[2])
+    s.close()
+    reopened = Store.open(s.root, mode="ro")
+    assert reads(reopened) == writer
+    reopened.close()
 
 
 def test_one_label_one_old_hour_one_summary(store):

@@ -414,13 +414,14 @@ def scan_segment(data: bytes, frames: Optional[FrameColumns] = None,
 
 
 def read_segment(path, tolerate_tail: bool, frames: FrameColumns,
-                 detections: DetectionColumns) -> tuple[list[FeedRecord], int]:
-    """Read one segment file; raise CorruptSegment on a torn tail unless tolerated.
+                 detections: DetectionColumns, size: int = -1) -> tuple[list[FeedRecord], int]:
+    """Read one segment file, or its first `size` bytes; raise CorruptSegment
+    on a torn tail unless tolerated.
 
     Frame and detection records go into `frames` and `detections`; the
     other records are returned."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(size)
     records, good = scan_segment(data, frames, detections)
     if good != len(data) and not tolerate_tail:
         raise CorruptSegment(f"{path}: bad record at offset {good}")

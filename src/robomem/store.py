@@ -2,19 +2,33 @@
 
 On-disk layout under the store root:
 
-    manifest.json     the store's one commit record, written atomically (tmp +
-                      rename): the live segment files, the warm (hourly) and
-                      cold (daily) tier summaries as flat rows, and the
-                      analyzed time as (subject, activity, from_us, to_us)
-                      coverage rows. One rename publishes all of them.
-    segments/NNNN.seg append-only binary record log (source of truth)
-    tracks.json       refinement state: cursor, next track id and one flat
-                      row per track, [track_id, label, kind, mean_x, mean_y,
-                      c00, c01, c10, c11, observation_count, miss_prob,
-                      first_us, last_us, first_frame, last_frame], the last
-                      four its presence span. Written right after the
-                      manifest, and only when the state changed.
-    lock              writer lock, held with flock by the writing process
+    manifest.json         the store's one commit record, written atomically
+                          (tmp + rename): the names of the live segment
+                          files, the committed length of the last one, the
+                          name of the refine state's file (null before the
+                          first refinement), the warm (hourly) and cold
+                          (daily) tier summaries as flat rows, and the
+                          analyzed time as (subject, activity, from_us,
+                          to_us) coverage rows. One rename publishes all of
+                          them.
+    segments/NNNN.seg     append-only binary record log (source of truth).
+                          Bytes past the last segment's committed length are
+                          appends no commit published: open does not read
+                          them, and a read-write open cuts them off.
+    segments/NNNN.tracks  refinement state: cursor, next track id and one
+                          flat row per track, [track_id, label, kind,
+                          mean_x, mean_y, c00, c01, c10, c11,
+                          observation_count, miss_prob, first_us, last_us,
+                          first_frame, last_frame], the last four its
+                          presence span. Written whole under a fresh number
+                          from the segments' counter, before the manifest
+                          that names it, and only when the state changed.
+    lock                  writer lock, held with flock by the writing process
+
+A file in segments/ that the manifest does not name is garbage: a commit
+deletes it right after the manifest rename, and so does a read-write open.
+A crash at any point thus leaves the store as one manifest describes it,
+and a file is never renamed into place except the manifest.
 
 The segments and the manifest are authoritative. Everything else lives
 only in memory and is rebuilt from the segments at open, so no index file is
@@ -36,8 +50,9 @@ written:
     postings          per (label, kind), an array of seqs sorted by (frame
                       position, seq), held in the detection table
     activities        ActivityEvent objects in append order
-    tracks            Track objects. Open reads tracks.json, so a snapshot
-                      matches its segments, but decodes its rows on first use.
+    tracks            Track objects. Open reads the manifest's .tracks file,
+                      so a snapshot matches its segments, but decodes its
+                      rows on first use.
 
 Appends buffer in memory and become durable at flush(); a crash before flush
 loses only unflushed records. Readers load a consistent snapshot at open and
@@ -82,7 +97,7 @@ from .model import (
 )
 from .refine import fuse, observation_at
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 DEFAULT_SEGMENT_RECORDS = 8192
 
 HOUR_US = 3_600_000_000
@@ -211,17 +226,20 @@ class StoreStats:
     bytes_per_frame: float
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+def _write_durable(path: str, data: bytes) -> None:
+    with open(path, "wb") as fh:
         fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
-def _atomic_write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, separators=(",", ":")).encode("utf-8"))
+def _json_bytes(obj) -> bytes:
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 class Store:
@@ -233,6 +251,7 @@ class Store:
         self.mode = mode
         self._segments: list[str] = []          # live segment file names
         self._segment_counts: list[int] = []    # record count per live segment
+        self._last_segment_bytes = 0            # the last segment's length
         self._next_segment_no = 0
         self._segment_max = DEFAULT_SEGMENT_RECORDS
         self._pending: list[bytes] = []         # encoded but unflushed records
@@ -248,8 +267,9 @@ class Store:
         self._refine_cursor = 0                 # detections refined so far
         self._next_track_id = 0
         self._tracks: list[Track] = []
-        self._track_rows: Optional[list] = None  # tracks.json rows until first decoded
-        self._refine_changed = False            # tracks.json is behind the state
+        self._track_rows: Optional[list] = None  # the .tracks file's rows until first decoded
+        self._tracks_file: Optional[str] = None  # the committed .tracks file's name
+        self._refine_changed = False            # the .tracks file is behind the state
         # (label, kind) -> spans of its tracks, built on demand (_track_spans_of)
         self._track_spans: dict[tuple[str, str], tuple[list[tuple[int, int, int]], list[int]]] = {}
 
@@ -261,29 +281,54 @@ class Store:
 
     @classmethod
     def create(cls, root: str) -> "Store":
+        """Make an empty store at root and return it opened read-write.
+
+        A directory that already holds a store is refused. The check runs
+        under the writer lock, so create never overwrites another writer's
+        manifest, whose commit would then delete that writer's files."""
         os.makedirs(os.path.join(root, "segments"), exist_ok=True)
-        cls(root, mode="rw")._commit()
-        return cls.open(root, mode="rw")
+        store = cls(root, mode="rw")
+        store._acquire_lock()
+        try:
+            if os.path.exists(os.path.join(root, "manifest.json")):
+                raise FileExistsError(f"a store already exists: {root}")
+            store._commit()
+        except BaseException:
+            store._release_lock()
+            raise
+        return store
 
     @classmethod
     def open(cls, root: str, mode: str = "rw") -> "Store":
+        """Open the store at root.
+
+        A read-write open takes the writer lock before it reads the
+        manifest, so no other writer commits after that read, and then
+        deletes the files the manifest does not name. A read-only open that
+        finds a named file gone reads the manifest again, since a writer
+        committed and deleted the file meanwhile; it raises only if the
+        manifest did not change."""
         if mode not in ("rw", "ro"):
             raise ValueError("mode must be 'rw' or 'ro'")
         manifest_path = os.path.join(root, "manifest.json")
         if not os.path.exists(manifest_path):
             raise FileNotFoundError(f"not a store: {root}")
-        with open(manifest_path, "rb") as fh:
-            manifest = json.load(fh)
-        if manifest["version"] != FORMAT_VERSION:
-            raise StoreVersionError(
-                f"store version {manifest['version']} is not the supported version {FORMAT_VERSION}")
         store = cls(root, mode)
-        store._segment_max = manifest.get("segment_max_records", DEFAULT_SEGMENT_RECORDS)
-        store._next_segment_no = manifest.get("next_segment_no", 0)
         if mode == "rw":
             store._acquire_lock()
         try:
-            store._load(manifest)
+            data = _read_bytes(manifest_path)
+            while True:
+                try:
+                    store._load(json.loads(data))
+                    break
+                except FileNotFoundError:
+                    seen, data = data, _read_bytes(manifest_path)
+                    if mode == "rw" or data == seen:
+                        raise
+                    store = cls(root, mode)
+            if mode == "rw":
+                store._sweep()
         except BaseException:
             store._release_lock()
             raise
@@ -312,27 +357,35 @@ class Store:
             self._lock_fd = None
 
     def _load(self, manifest: dict) -> None:
+        if manifest["version"] != FORMAT_VERSION:
+            raise StoreVersionError(
+                f"store version {manifest['version']} is not the supported version {FORMAT_VERSION}")
+        self._segment_max = manifest["segment_max_records"]
+        self._next_segment_no = manifest["next_segment_no"]
         self._segments = list(manifest["segments"])
         for i, name in enumerate(self._segments):
             path = os.path.join(self.root, "segments", name)
             is_last = i == len(self._segments) - 1
             held_before = len(self._frames) + len(self._detections)
-            records, good = segcodec.read_segment(path, tolerate_tail=is_last,
-                                                  frames=self._frames,
-                                                  detections=self._detections)
-            if is_last and good != os.path.getsize(path) and self.mode == "rw":
-                with open(path, "r+b") as fh:  # drop the torn tail once, up front
-                    fh.truncate(good)
+            # the last segment is read only as far as the manifest committed it
+            records, good = segcodec.read_segment(
+                path, tolerate_tail=is_last, frames=self._frames, detections=self._detections,
+                size=manifest["last_segment_bytes"] if is_last else -1)
+            if is_last:
+                if good != os.path.getsize(path) and self.mode == "rw":
+                    # drop a torn tail, or appends no commit published, once, up front
+                    with open(path, "r+b") as fh:
+                        fh.truncate(good)
+                self._last_segment_bytes = good
             self._segment_counts.append(
                 len(records) + len(self._frames) + len(self._detections) - held_before)
             self._activities.extend(records)  # the records left are activities
         self._label_summaries = [_label_summary_from_row(r) for r in manifest["labels"]]
         self._activity_summaries = [_activity_summary_from_row(r) for r in manifest["activities"]]
         self._coverage = [tuple(c) for c in manifest["coverage"]]
-        p = os.path.join(self.root, "tracks.json")
-        if os.path.exists(p):
-            with open(p, "rb") as fh:
-                state = json.load(fh)
+        self._tracks_file = manifest["tracks"]
+        if self._tracks_file is not None:
+            state = json.loads(_read_bytes(os.path.join(self.root, "segments", self._tracks_file)))
             self._refine_cursor = state["cursor"]
             self._next_track_id = state["next_track_id"]
             self._track_rows = state["tracks"]
@@ -372,46 +425,77 @@ class Store:
         if self._pending:
             buf = iter(self._pending)
             remaining = len(self._pending)
-            chunk: list[bytes] = []
             while remaining > 0:
                 if not self._segments or self._segment_counts[-1] >= self._segment_max:
-                    name = f"{self._next_segment_no:04d}.seg"
-                    self._next_segment_no += 1
+                    name = self._new_name(".seg")
                     self._segments.append(name)
                     self._segment_counts.append(0)
+                    self._last_segment_bytes = 0
                     open(os.path.join(self.root, "segments", name), "wb").close()
                 room = self._segment_max - self._segment_counts[-1]
                 take = min(room, remaining)
-                chunk = [next(buf) for _ in range(take)]
+                data = b"".join(next(buf) for _ in range(take))
                 path = os.path.join(self.root, "segments", self._segments[-1])
                 with open(path, "ab") as fh:
-                    fh.write(b"".join(chunk))
+                    fh.write(data)
                     fh.flush()
                     os.fsync(fh.fileno())
                 self._segment_counts[-1] += take
+                self._last_segment_bytes += len(data)
                 remaining -= take
             self._pending = []
         self._commit()
 
     def _commit(self) -> None:
-        """Publish the segments, tier summaries and coverage with one
-        manifest rename, then write tracks.json if the refine state changed."""
-        _atomic_write_json(os.path.join(self.root, "manifest.json"), {
-            "version": FORMAT_VERSION,
-            "segment_max_records": self._segment_max,
-            "segments": self._segments,
-            "next_segment_no": self._next_segment_no,
-            "labels": [_label_summary_row(s) for s in self._label_summaries],
-            "activities": [_activity_summary_row(s) for s in self._activity_summaries],
-            "coverage": self._coverage,
-        })
+        """Publish the segments, the refine state, the tier summaries and the
+        coverage with one manifest rename, then delete every file in
+        segments/ that the manifest does not name.
+
+        A changed refine state is first written whole to a fresh .tracks
+        file. It needs no tmp file or rename: no reader opens it before the
+        manifest names it, and if the commit fails it is garbage."""
         if self._refine_changed:
-            _atomic_write_json(os.path.join(self.root, "tracks.json"), {
+            name = self._new_name(".tracks")
+            _write_durable(os.path.join(self.root, "segments", name), _json_bytes({
                 "cursor": self._refine_cursor,
                 "next_track_id": self._next_track_id,
                 "tracks": [_track_to_row(t) for t in self.tracks()],
-            })
+            }))
+            self._tracks_file = name
             self._refine_changed = False
+        path = os.path.join(self.root, "manifest.json")
+        _write_durable(path + ".tmp", _json_bytes({
+            "version": FORMAT_VERSION,
+            "segment_max_records": self._segment_max,
+            "segments": self._segments,
+            "last_segment_bytes": self._last_segment_bytes,
+            "next_segment_no": self._next_segment_no,
+            "tracks": self._tracks_file,
+            "labels": [_label_summary_row(s) for s in self._label_summaries],
+            "activities": [_activity_summary_row(s) for s in self._activity_summaries],
+            "coverage": self._coverage,
+        }))
+        os.replace(path + ".tmp", path)
+        self._sweep()
+
+    def _new_name(self, suffix: str) -> str:
+        """A fresh file name in segments/, from the counter the manifest keeps."""
+        name = f"{self._next_segment_no:04d}{suffix}"
+        self._next_segment_no += 1
+        return name
+
+    def _named_files(self) -> list[str]:
+        """The files in segments/ that the manifest names."""
+        return self._segments + ([self._tracks_file] if self._tracks_file else [])
+
+    def _sweep(self) -> None:
+        """Delete every file in segments/ that the manifest does not name:
+        what a failed commit or a replaced generation left behind."""
+        named = set(self._named_files())
+        seg_dir = os.path.join(self.root, "segments")
+        for name in os.listdir(seg_dir):
+            if name not in named:
+                os.unlink(os.path.join(seg_dir, name))
 
     def close(self, flush: bool = True) -> None:
         if self._closed:
@@ -874,44 +958,31 @@ class Store:
         encoded.extend(dets.encode(seq) for seq in keep)
         encoded.extend(segcodec.encode_record(r) for r in activities)
 
-        old = list(self._segments)
         new_names: list[str] = []
         new_counts: list[int] = []
         for i in range(0, max(len(encoded), 1), self._segment_max):
             chunk = encoded[i:i + self._segment_max]
-            name = f"{self._next_segment_no:04d}.seg"
-            self._next_segment_no += 1
-            path = os.path.join(self.root, "segments", name)
-            with open(path, "wb") as fh:
-                fh.write(b"".join(chunk))
-                fh.flush()
-                os.fsync(fh.fileno())
+            data = b"".join(chunk)
+            name = self._new_name(".seg")
+            _write_durable(os.path.join(self.root, "segments", name), data)
             new_names.append(name)
             new_counts.append(len(chunk))
         self._segments = new_names
         self._segment_counts = new_counts
+        self._last_segment_bytes = len(data)
 
         # the surviving records; coverage is historical fact and stays as it is
         self._detections = dets.select(keep)
         self._activities = activities
 
-        self._commit()
-        for name in old:
-            try:
-                os.unlink(os.path.join(self.root, "segments", name))
-            except FileNotFoundError:
-                pass
+        self._commit()  # its sweep deletes the old generation
 
     # ------------------------------------------------------------------ stats
 
     def _bytes_on_disk(self) -> int:
-        total = 0
-        for dirpath, _dirs, files in os.walk(self.root):
-            for f in files:
-                if f == "lock" or f.endswith(".tmp"):
-                    continue
-                total += os.path.getsize(os.path.join(dirpath, f))
-        return total
+        """The manifest's size plus the sizes of the files it names."""
+        return os.path.getsize(os.path.join(self.root, "manifest.json")) + sum(
+            os.path.getsize(os.path.join(self.root, "segments", n)) for n in self._named_files())
 
     def stats(self) -> StoreStats:
         nbytes = self._bytes_on_disk()
@@ -940,7 +1011,7 @@ def _reach(spans: list[tuple[int, int, int]]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# (de)serialization: one flat row per track in tracks.json, and per tier
+# (de)serialization: one flat row per track in the .tracks file, and per tier
 # summary in the manifest; a location is the six numbers of _loc_row
 
 def _loc_row(loc: LocationEstimate) -> list:

@@ -4,6 +4,7 @@ import pytest
 
 from robomem.cli import main, resolve_relative
 from robomem.model import ts_parse
+from robomem.store import Store
 
 NOW = "2019-06-08T12:00:00Z"
 
@@ -47,6 +48,22 @@ def test_store_env_var(tmp_path, monkeypatch, capsys):
     rc, payload = run_json(capsys, ["--format", "json", "stats"])
     assert rc == 0 and payload["frames"] == 0
 
+
+def test_init_refuses_an_existing_store(loaded, capsys):
+    """init on a store exits 1 with a message and leaves the store as it
+    was, also while a writer holds it open."""
+    store, _feed = loaded
+    rc, before = run_json(capsys, ["--store", store, "--format", "json", "stats"])
+    assert rc == 0 and before["frames"] > 0
+    assert main(["--store", store, "init"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    with Store.open(store):
+        assert main(["--store", store, "init"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        rc, during = run_json(capsys, ["--store", store, "--format", "json", "stats"])
+        assert during == before
+    rc, after = run_json(capsys, ["--store", store, "--format", "json", "stats"])
+    assert after == before
 
 def test_missing_store_is_runtime_error(tmp_path, capsys):
     rc = main(["--store", str(tmp_path / "nope"), "stats"])

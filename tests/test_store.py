@@ -56,6 +56,16 @@ def brute_find(records, label, rng=None, kind=None):
     return out
 
 
+def _manifest(root):
+    with open(os.path.join(root, "manifest.json")) as fh:
+        return json.load(fh)
+
+
+def _named_files(root):
+    m = _manifest(root)
+    return set(m["segments"]) | ({m["tracks"]} if m["tracks"] else set())
+
+
 def test_append_flush_read_back(store):
     store.append(FrameMeta(0, T0, Pose(1.0, 2.0)))
     store.append(Detection(0, "remote", "object", 0.9))
@@ -114,19 +124,110 @@ def test_killed_writer_releases_lock(tmp_path, death):
 
 def test_newer_version_refused(tmp_path, store):
     # a newer store is refused, and so is an older one: versions 1 and 2
-    # with an old tracks.json, and version 3 with its tier summaries and
-    # coverage in summaries.json and coverage.json; nothing converts them
+    # with an old tracks.json, version 3 with its tier summaries and
+    # coverage in summaries.json and coverage.json, and version 4 with its
+    # refine state in tracks.json; nothing converts them
     store.close()
     p = os.path.join(store.root, "manifest.json")
     with open(p) as fh:
         m = json.load(fh)
-    for version in (99, 1, 2, 3):
+    for version in (99, 1, 2, 3, 4):
         m["version"] = version
         with open(p, "w") as fh:
             json.dump(m, fh)
         with pytest.raises(StoreVersionError) as ei:
             Store.open(store.root)
         assert str(version) in str(ei.value) and str(FORMAT_VERSION) in str(ei.value)
+
+
+def test_create_refuses_an_existing_store(tmp_path):
+    """create on a directory that holds a store raises and leaves the store
+    as it was, also while another writer holds it open."""
+    root = str(tmp_path / "s")
+    with Store.create(root) as s:
+        for f in range(360):
+            s.append(FrameMeta(f, T0 + f * timedelta(seconds=1), Pose(0.0, 0.0)))
+
+    def frames():
+        ro = Store.open(root, mode="ro")
+        n = ro.frame_count()
+        ro.close()
+        return n
+
+    with pytest.raises(FileExistsError):
+        Store.create(root)
+    assert frames() == 360
+    with Store.open(root) as writer:
+        with pytest.raises((FileExistsError, StoreLocked)):
+            Store.create(root)
+        assert frames() == 360
+        with pytest.raises(StoreLocked):  # the writer still holds the lock
+            Store.open(root)
+        writer.append(FrameMeta(360, T0 + timedelta(seconds=360), Pose(0.0, 0.0)))
+    assert frames() == 361
+
+
+def test_writer_reads_the_manifest_under_the_lock(tmp_path, monkeypatch):
+    """A writer that commits into a new segment and closes while another
+    read-write open is taking the lock: that open reads the manifest only
+    once it holds the lock, so it serves every frame, and so does a reopen
+    after its own commit."""
+    root = str(tmp_path / "s")
+    Store.create(root).close()
+    _set_segment_max(root, 16)
+    frames = [FrameMeta(f, T0 + f * timedelta(seconds=1), Pose(0.0, 0.0)) for f in range(31)]
+    with Store.open(root) as s:
+        for fm in frames[:16]:
+            s.append(fm)
+    real_acquire = Store._acquire_lock
+
+    def commit_first(self):
+        monkeypatch.setattr(Store, "_acquire_lock", real_acquire)
+        with Store.open(root) as other:
+            for fm in frames[16:30]:
+                other.append(fm)
+        assert len(_manifest(root)["segments"]) == 2
+        real_acquire(self)
+
+    monkeypatch.setattr(Store, "_acquire_lock", commit_first)
+    s = Store.open(root)
+    assert s.frame_count() == 30
+    s.append(frames[30])
+    s.close()
+    reopened = Store.open(root, mode="ro")
+    assert [reopened.frame_by_id(f.frame_id).ts for f in frames] == [f.ts for f in frames]
+    reopened.close()
+
+
+def test_read_only_open_follows_a_commit_during_its_load(tmp_path, monkeypatch):
+    """A writer that ingests, refines and commits while a read-only open
+    loads deletes the .tracks file that open's manifest named. The open
+    reads the manifest again and serves the newer snapshot."""
+    _gt, records = generate_scenario(small_scenario(seed=9, minutes=2.0))
+    frames = [r for r in records if isinstance(r, FrameMeta)]
+    cut = records.index(frames[len(frames) // 2])
+    writer = Store.create(str(tmp_path / "s"))
+    ingest_stream(iter(records[:cut]), writer)
+    run_refinement_pass(writer)
+    writer.flush()
+    stale = _manifest(writer.root)["tracks"]
+    real_load = Store._load
+
+    def commit_first(self, manifest):
+        monkeypatch.setattr(Store, "_load", real_load)
+        ingest_stream(iter(records[cut:]), writer)
+        run_refinement_pass(writer)
+        writer.flush()
+        assert manifest["tracks"] == stale != _manifest(writer.root)["tracks"]
+        real_load(self, manifest)
+
+    monkeypatch.setattr(Store, "_load", commit_first)
+    reader = Store.open(writer.root, mode="ro")
+    assert reader.frame_count() == writer.frame_count() == len(frames)
+    assert reader.detection_count() == writer.detection_count()
+    assert reader.load_refine_state() == writer.load_refine_state()
+    reader.close()
+    writer.close()
 
 
 def test_find_by_label_matches_linear_scan(populated):
@@ -283,11 +384,9 @@ def test_crash_safety_random_truncation(tmp_path):
 
 
 def _set_segment_max(root, records):
-    path = os.path.join(root, "manifest.json")
-    with open(path) as fh:
-        manifest = json.load(fh)
+    manifest = _manifest(root)
     manifest["segment_max_records"] = records
-    with open(path, "w") as fh:
+    with open(os.path.join(root, "manifest.json"), "w") as fh:
         json.dump(manifest, fh)
 
 
@@ -309,8 +408,7 @@ def test_damaged_tail_opens_as_record_walk(tmp_path, migrated):
             frames = [r for r in records if isinstance(r, FrameMeta)]
             now = frames[len(frames) // 2].ts + timedelta(days=7)
             assert s.migrate_tiers(now, TierPolicy(hot_window=timedelta(days=7))).detections_migrated
-    with open(os.path.join(root, "manifest.json")) as fh:
-        paths = [os.path.join(root, "segments", n) for n in json.load(fh)["segments"]]
+    paths = [os.path.join(root, "segments", n) for n in _manifest(root)["segments"]]
     assert len(paths) >= 2
     blobs = []
     for path in paths:
@@ -416,10 +514,8 @@ def served_frames(records):
 
 
 def segment_bytes(root):
-    with open(os.path.join(root, "manifest.json")) as fh:
-        names = json.load(fh)["segments"]
     data = b""
-    for name in names:
+    for name in _manifest(root)["segments"]:
         with open(os.path.join(root, "segments", name), "rb") as fh:
             data += fh.read()
     return data
@@ -542,7 +638,7 @@ def test_tracks_held_once(populated):
         return isinstance(v, (list, tuple)) and len(v) == n
     holders = [name for name, v in vars(reopened).items()
                if per_track(v) or isinstance(v, dict) and any(map(per_track, v.values()))]
-    assert holders == ["_tracks"]  # the decoded tracks, and no tracks.json rows
+    assert holders == ["_tracks"]  # the decoded tracks, and no rows of the .tracks file
     reopened.close()
 
 
@@ -567,22 +663,35 @@ def test_refine_state_survives_reopen_exactly(populated):
     reopened.close()
 
 
-def test_flush_writes_tracks_json_only_when_changed(populated):
+def test_flush_writes_refine_state_only_when_changed(populated):
+    """A flush that leaves the refine state as committed names the same
+    .tracks file; a changed state goes to a new file, and the old one is
+    deleted."""
     store, _gt, _records = populated
-    path = os.path.join(store.root, "tracks.json")
     store.flush()
-    assert not os.path.exists(path)  # nothing refined, nothing to write
+    assert _manifest(store.root)["tracks"] is None  # nothing refined, nothing to write
     run_refinement_pass(store)
     store.flush()
-    inode = os.stat(path).st_ino  # an atomic rewrite replaces the inode
+    name = _manifest(store.root)["tracks"]
+    path = os.path.join(store.root, "segments", name)
+    inode = os.stat(path).st_ino
     store.flush()
     assert run_refinement_pass(store).observations_fused == 0
     store.flush()
-    assert os.stat(path).st_ino == inode
+    assert _manifest(store.root)["tracks"] == name and os.stat(path).st_ino == inode
     store.close()
     reopened = Store.open(store.root, mode="rw")
     reopened.flush()
-    assert os.stat(path).st_ino == inode
+    assert _manifest(store.root)["tracks"] == name and os.stat(path).st_ino == inode
+
+    last = reopened.frame_by_id(reopened.max_frame_id)
+    reopened.append(FrameMeta(last.frame_id + 1, last.ts + timedelta(seconds=1), last.pose))
+    reopened.append(Detection(last.frame_id + 1, "cup", "object", 0.9))
+    run_refinement_pass(reopened)
+    reopened.flush()
+    renamed = _manifest(store.root)["tracks"]
+    assert renamed != name and not os.path.exists(path)
+    assert os.path.exists(os.path.join(store.root, "segments", renamed))
     reopened.close()
 
 
@@ -677,51 +786,117 @@ def _sightings(store):
     return {label: sum(h.count for h in store.find_by_label(label)) for label in store.labels()}
 
 
-def test_migration_crash_at_any_rename_keeps_counts(tmp_path, monkeypatch):
-    """For every k, a failure at the k-th os.replace of a migration leaves a
-    store that reopens with every label's raw hits plus summary counts as
-    they were before it: the manifest that drops raw detections is the one
-    that publishes their summaries."""
-    s, _gt, _records = migration_fixture(tmp_path)
+def _prepare_flush(s, _gt, rest):
+    run_refinement_pass(s)
+    for r in rest:
+        s.append(r)
+    return s.flush
+
+
+def _prepare_migrate(s, _gt, _rest):
     run_refinement_pass(s)  # so the migration rebases the refine cursor too
+    s.flush()
     policy = TierPolicy(hot_window=timedelta(days=7))
     now = s.time_bounds().start + timedelta(seconds=90) + policy.hot_window
-    before = _sightings(s)
-    s.close()
-    real_replace = os.replace
-    for k in range(1, 10):
-        root = str(tmp_path / f"crash{k}")
-        shutil.copytree(s.root, root)
-        calls = []
+    return lambda: s.migrate_tiers(now, policy)
 
-        def failing_replace(src, dst):
-            calls.append(dst)
-            if len(calls) == k:
-                raise OSError(f"injected failure at os.replace #{k}")
-            real_replace(src, dst)
 
-        st = Store.open(root, mode="rw")
-        monkeypatch.setattr(os, "replace", failing_replace)
-        try:
-            report = st.migrate_tiers(now, policy)
-        except OSError:
-            report = None
-        finally:
-            monkeypatch.setattr(os, "replace", real_replace)
+def _prepare_reprocess(s, gt, _rest):
+    run_refinement_pass(s)
+    s.flush()
+    full = s.time_bounds()
+    request = run_query(f'DID activity="dance" subject="ifrah" FROM {full.start:%Y-%m-%dT%H:%M:%SZ} '
+                        f'TO {full.end:%Y-%m-%dT%H:%M:%SZ}', s).request
+    return lambda: run_reprocess(s, request, OracleReprocessor(gt))
+
+
+@pytest.mark.parametrize("prepare", [_prepare_flush, _prepare_migrate, _prepare_reprocess],
+                         ids=["flush", "migrate", "reprocess"])
+def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepare):
+    """For every k, the k-th os.replace, and apart the k-th os.fsync, of a
+    flush after a refinement pass, a migration or a reprocess fails. A
+    read-write reopen then holds what the store held before the operation
+    or after it: every label's raw hits plus summary counts, the raw
+    detection count, the activities and the analyzed time. The refine cursor is within the detections and
+    the next pass refines the rest. segments/ holds just the files the
+    manifest names, and they and the manifest are the bytes on disk."""
+    gt, records = generate_scenario(small_scenario(seed=9, minutes=3.0))
+    frames = [r for r in records if isinstance(r, FrameMeta)]
+    cut = records.index(frames[len(frames) * 2 // 3])
+    base = str(tmp_path / "base")
+    Store.create(base).close()
+    _set_segment_max(base, 400)  # so a flush fills one segment and starts the next
+    with Store.open(base) as s:
+        ingest_stream(iter(records[:cut]), s)
+    full = TimeRange(frames[0].ts, frames[-1].ts)
+
+    def contents(st):
+        return (_sightings(st), st.detection_count(), st.activities(),
+                [st.is_covered(subject, "dance", full) for subject in (None, "ifrah")])
+
+    def attempt(name, fail=None, k=0):
+        root = str(tmp_path / name)
+        shutil.copytree(base, root)
+        st = Store.open(root)
+        operation = prepare(st, gt, records[cut:])
+        real = {"replace": os.replace, "fsync": os.fsync}
+        calls = dict.fromkeys(real, 0)
+
+        def counting(name):
+            def call(*args):
+                calls[name] += 1
+                if name == fail and calls[name] == k:
+                    raise OSError(f"injected failure at os.{name} #{k}")
+                return real[name](*args)
+            return call
+
+        failed = False
+        with monkeypatch.context() as m:
+            for name in real:
+                m.setattr(os, name, counting(name))
+            try:
+                operation()
+            except OSError:
+                failed = True
         st.close(flush=False)
-        reopened = Store.open(root, mode="ro")
-        assert _sightings(reopened) == before, f"failure at os.replace #{k}"
-        reopened.close()
-        if report is not None:
-            break
-    assert report is not None and report.detections_migrated > 0
-    assert k == 3  # the manifest, then tracks.json, then no failure
+        return root, calls, failed
+
+    def check(root, allowed):
+        st = Store.open(root)  # read-write: deletes what the manifest does not name
+        assert contents(st) in allowed
+        named = _named_files(root)
+        seg_dir = os.path.join(root, "segments")
+        assert set(os.listdir(seg_dir)) == named
+        assert st.stats().bytes_on_disk == os.path.getsize(os.path.join(root, "manifest.json")) + sum(
+            os.path.getsize(os.path.join(seg_dir, n)) for n in named)
+        n = st.detection_count()
+        assert st.load_refine_state()["cursor"] <= n
+        run_refinement_pass(st)
+        assert st.load_refine_state()["cursor"] == n
+        st.close(flush=False)
+
+    snapshot = Store.open(base, mode="ro")
+    before = contents(snapshot)
+    snapshot.close()
+    root, calls, failed = attempt("clean")
+    snapshot = Store.open(root, mode="ro")
+    after = contents(snapshot)
+    snapshot.close()
+    assert not failed and after != before
+    check(root, [after])
+    assert calls["replace"] >= 1 and calls["fsync"] >= 2
+    for fail in calls:
+        for k in range(1, calls[fail] + 1):
+            root, _calls, failed = attempt(f"{fail}{k}", fail, k)
+            assert failed
+            check(root, [before, after])
 
 
 def test_store_files_are_manifest_segments_and_tracks(tmp_path):
     """After ingest, refine, reprocess and migrate the store root holds only
-    the manifest, the lock, the segments and tracks.json, and a read-only
-    reopen answers summary and coverage reads as the writer does."""
+    the manifest, the lock and segments/, which holds just the segments and
+    the .tracks file the manifest names, and a read-only reopen answers
+    summary and coverage reads as the writer does."""
     s, gt, _records = migration_fixture(tmp_path)
     run_refinement_pass(s)
     full = s.time_bounds()
@@ -732,7 +907,9 @@ def test_store_files_are_manifest_segments_and_tracks(tmp_path):
     report = s.migrate_tiers(full.start + timedelta(seconds=90) + policy.hot_window, policy)
     assert report.detections_migrated > 0 and report.activities_migrated > 0
     s.flush()
-    assert sorted(os.listdir(s.root)) == ["lock", "manifest.json", "segments", "tracks.json"]
+    assert sorted(os.listdir(s.root)) == ["lock", "manifest.json", "segments"]
+    assert set(os.listdir(os.path.join(s.root, "segments"))) == _named_files(s.root)
+    assert _manifest(s.root)["tracks"].endswith(".tracks")
 
     early = TimeRange(full.start, full.start + timedelta(seconds=30))
     probes = [(subject, activity, rng)

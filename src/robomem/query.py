@@ -66,30 +66,25 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # string | ts | word | eq | eof
-    text: str
-    pos: int
+# a token is a (kind, text, pos) tuple; kind is string | ts | word | eq | eof
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     pos = 0
+    match = _TOKEN_RE.match
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = match(text, pos)
         if m is None or m.end() == pos:
             stripped = pos + len(text[pos:]) - len(text[pos:].lstrip())
             if stripped >= len(text):
                 break
             raise QuerySyntaxError(stripped, "a token")
-        for kind in ("string", "ts", "word", "eq"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append(_Token(kind, val, m.start(kind)))
-                break
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
-    tokens.append(_Token("eof", "", len(text)))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -107,34 +102,34 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_word(self, *options: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "word" or tok.text not in options:
-            raise QuerySyntaxError(tok.pos, " or ".join(options))
-        return tok
+    def expect_word(self, *options: str) -> str:
+        kind, text, pos = self.next()
+        if kind != "word" or text not in options:
+            raise QuerySyntaxError(pos, " or ".join(options))
+        return text
 
     def expect_string(self) -> str:
-        tok = self.next()
-        if tok.kind != "string":
-            raise QuerySyntaxError(tok.pos, "a quoted string")
-        value = tok.text[1:-1].lower()
+        kind, text, pos = self.next()
+        if kind != "string":
+            raise QuerySyntaxError(pos, "a quoted string")
+        value = text[1:-1].lower()
         if not value:
             raise QuerySemanticError("labels must be non-empty")
         return value
 
     def expect_eq(self) -> None:
-        tok = self.next()
-        if tok.kind != "eq":
-            raise QuerySyntaxError(tok.pos, "'='")
+        kind, _text, pos = self.next()
+        if kind != "eq":
+            raise QuerySyntaxError(pos, "'='")
 
     def expect_ts(self) -> datetime:
-        tok = self.next()
-        if tok.kind != "ts":
-            raise QuerySyntaxError(tok.pos, "an ISO-8601 timestamp")
+        kind, text, pos = self.next()
+        if kind != "ts":
+            raise QuerySyntaxError(pos, "an ISO-8601 timestamp")
         try:
-            return ts_parse(tok.text)
+            return ts_parse(text)
         except ValueError:
-            raise QuerySyntaxError(tok.pos, "a valid ISO-8601 timestamp") from None
+            raise QuerySyntaxError(pos, "a valid ISO-8601 timestamp") from None
 
     def field(self, name: str) -> str:
         self.expect_word(name)
@@ -142,14 +137,15 @@ class _Parser:
         return self.expect_string()
 
     def entity(self) -> tuple[str, str]:
-        tok = self.expect_word("object", "person")
+        kind = self.expect_word("object", "person")
         self.expect_eq()
-        return tok.text, self.expect_string()
+        return kind, self.expect_string()
+
+    def at_word(self, word: str) -> bool:
+        return self.peek()[:2] == ("word", word)
 
     def maybe_subject(self) -> Optional[str]:
-        if self.peek().kind == "word" and self.peek().text == "subject":
-            return self.field("subject")
-        return None
+        return self.field("subject") if self.at_word("subject") else None
 
     def time_range(self) -> TimeRange:
         self.expect_word("FROM")
@@ -161,32 +157,32 @@ class _Parser:
         return TimeRange(start, end)
 
     def eof(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise QuerySyntaxError(tok.pos, "end of query")
+        kind, _text, pos = self.peek()
+        if kind != "eof":
+            raise QuerySyntaxError(pos, "end of query")
 
 
 def parse_query(text: str) -> QueryAST:
     p = _Parser(text)
     head = p.expect_word("LAST_SEEN", "PRESENT", "DID", "DURATION", "WHERE_MOST")
-    if head.text == "LAST_SEEN":
+    if head == "LAST_SEEN":
         kind, label = p.entity()
         ast: QueryAST = LastSeen(kind=kind, label=label)
-    elif head.text == "PRESENT":
+    elif head == "PRESENT":
         kind, label = p.entity()
         ast = Present(kind=kind, label=label, range=p.time_range())
-    elif head.text == "DID":
+    elif head == "DID":
         act = p.field("activity")
         subj = p.maybe_subject()
         ast = Did(activity=act, subject=subj, range=p.time_range())
-    elif head.text == "DURATION":
+    elif head == "DURATION":
         act = p.field("activity")
         subj = p.maybe_subject()
         rng = p.time_range()
         bucket = None
-        if p.peek().kind == "word" and p.peek().text == "BY":
+        if p.at_word("BY"):
             p.next()
-            bucket = p.expect_word("hour", "day").text
+            bucket = p.expect_word("hour", "day")
         ast = Duration(activity=act, subject=subj, range=rng, bucket=bucket)
     else:
         act = p.field("activity")

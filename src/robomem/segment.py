@@ -1,12 +1,13 @@
 """Binary record codec and segment file I/O.
 
-Segment files are append-only sequences of framed records:
+A segment file is a record log or a sealed block. A log is an append-only
+sequence of framed records:
 
     u8 tag | u16 payload_len | payload | u32 crc32(tag + len + payload)
 
 Little-endian throughout. A torn tail (partial or checksum-failing record at
-the end of the *last* segment) is tolerated on open and truncated away; the
-same condition in any earlier segment means real corruption.
+the end of the log) is tolerated on open and truncated away; the same
+condition in any other segment means real corruption.
 
 The six-field frame record encodes in 51 bytes. Pose x/y keep full double
 precision (they feed location fusion); z/roll/pitch/yaw are stored as f32,
@@ -15,16 +16,20 @@ which is ample for meters and degrees.
 A store keeps its frames in a FrameColumns table and its detections in a
 DetectionColumns table, one typed array per field, and scan_segment decodes
 records straight into them; a FrameMeta or Detection is built only when a
-caller asks for one. A migration writes every frame first, so its segments
-hold long runs of back-to-back 51-byte frame records. The scan finds such a
-run from its header bytes with strided slices, checks every record's CRC,
-and cuts each column out of the run with strided copies, so a frame in a
-run costs no Python call of its own. Short runs, detections and activities
-are read one record at a time.
+caller asks for one. A log is walked one record at a time. A full segment
+is sealed into a block (encode_block), written from a slice of the tables:
+each column as zlib'd little-endian bytes, the detections' label table, the
+activities as framed records, and one CRC over the file. Reading a block
+checks the CRC, decompresses each column and appends it to its table
+whole, so a frame or detection in a block costs no Python step of its own
+beyond the detection's frame lookup and posting. A block checks or fails as
+one unit: it is never cut back, since a flush writes it whole before the
+manifest names it.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 import sys
 import zlib
@@ -176,12 +181,6 @@ class FrameColumns:
                          pose=Pose(x=self.x[i], y=self.y[i], z=self.z[i],
                                    roll=self.roll[i], pitch=self.pitch[i], yaw=self.yaw[i]))
 
-    def encode(self, i: int) -> bytes:
-        """The record of frame i, byte for byte as encode_record wrote it."""
-        return _frame(TAG_FRAME, _FRAME_BODY.pack(
-            self.frame_id[i], self.ts_us[i], self.x[i], self.y[i],
-            self.z[i], self.roll[i], self.pitch[i], self.yaw[i]))
-
 
 class DetectionColumns:
     """Detection records as one typed array per field, in append order.
@@ -253,12 +252,6 @@ class DetectionColumns:
                          label=self.labels[self.label_id[seq]],
                          kind=KINDS[self.kind[seq]], confidence=self.confidence[seq])
 
-    def encode(self, seq: int) -> bytes:
-        """The record of detection seq, byte for byte as encode_record writes it."""
-        return _frame(TAG_DETECTION, _DET_BODY.pack(
-            self.frames.frame_id[self.position[seq]], self.kind[seq], self.confidence[seq],
-        ) + self.labels[self.label_id[seq]].encode("utf-8"))
-
     def select(self, seqs: list[int]) -> "DetectionColumns":
         """A new table of the given detections in the given order, with the
         labels interned afresh."""
@@ -273,83 +266,147 @@ class DetectionColumns:
         return out
 
 
-# Back-to-back frame records are cut into the columns in bulk once at least
-# _MIN_RUN of them follow each other.
-_FRAME_RECORD = _HEADER.size + _FRAME_BODY.size + _CRC.size
-_FRAME_HEAD = _HEADER.pack(TAG_FRAME, _FRAME_BODY.size)
-_MIN_RUN = 16
-# the frame body's fields in order: (column, width in the record, typecode)
-_FRAME_FIELDS = (("frame_id", 4, "q"), ("ts_us", 8, "q"), ("x", 8, "d"), ("y", 8, "d"),
-                 ("z", 4, "f"), ("roll", 4, "f"), ("pitch", 4, "f"), ("yaw", 4, "f"))
+# A sealed block: _BLOCK_HEAD, then one section per entry of _BLOCK_SECTIONS,
+# each a u32 length and that many bytes of zlib'd data, then the u32 crc32 of
+# everything before it. A column section holds the column's items as
+# little-endian bytes.
+_BLOCK_MAGIC = b"\xb1RMB"  # its first byte is no record tag, so no log starts with it
+_BLOCK_HEAD = struct.Struct("<4sII")  # magic, frames, detections
+_SECTION = struct.Struct("<I")
+_ZLIB_LEVEL = 1  # level 6 takes twice the time for 1.5% smaller blocks
+_FRAME_COLUMNS = (("frame_id", "q"), ("ts_us", "q"), ("x", "d"), ("y", "d"),
+                  ("z", "f"), ("roll", "f"), ("pitch", "f"), ("yaw", "f"))
+# detection columns: frame id, index into the block's label table, kind code, confidence
+_DET_COLUMNS = ("q", "i", "b", "d")
+_BLOCK_SECTIONS = len(_FRAME_COLUMNS) + len(_DET_COLUMNS) + 2  # + label table, activities
 _NATIVE_LE = sys.byteorder == "little"
+# A log walk moves frame bodies to the columns this many at a time, so it
+# holds few of them at once.
+_ROWS_HELD = 256
 
 
-def _frame_run(data: bytes, off: int) -> int:
-    """How many whole records from `off` on carry a frame record's header.
-
-    Reads the header bytes with strided slices over a window that starts
-    at _MIN_RUN records and grows fourfold while every record in it is a
-    frame, so a short run costs a short probe."""
-    whole = (len(data) - off) // _FRAME_RECORD
-    most = min(_MIN_RUN, whole)
-    while True:
-        end = off + most * _FRAME_RECORD
-        run = most
-        for j in range(_HEADER.size):
-            column = data[off + j:end:_FRAME_RECORD]
-            run = min(run, most - len(column.lstrip(_FRAME_HEAD[j:j + 1])))
-        if run < most or most == whole:
-            return run
-        most = min(most * 4, whole)
+def _le_bytes(column: array) -> bytes:
+    if not _NATIVE_LE:
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column.tobytes()
 
 
-def _gather(data: bytes, start: int, count: int, width: int, typecode: str) -> array:
-    """The `width` bytes at `start` of `count` records _FRAME_RECORD apart,
-    as an array of little-endian `typecode` items, zero-extended if wider."""
-    size = array(typecode).itemsize
-    buf = bytearray(count * size)
-    end = start + count * _FRAME_RECORD
-    for j in range(width):
-        buf[j::size] = data[start + j:end:_FRAME_RECORD]
-    out = array(typecode, buf)
+def _column(raw: bytes, typecode: str, count: int) -> array:
+    """A column section's items; raises CorruptSegment unless there are `count`."""
+    try:
+        out = array(typecode, raw)
+    except ValueError:
+        raise CorruptSegment("block column is not whole items") from None
+    if len(out) != count:
+        raise CorruptSegment(f"block column holds {len(out)} items, not {count}")
     if not _NATIVE_LE:
         out.byteswap()
     return out
 
 
-def _take_frame_run(data: bytes, off: int, count: int, frames: FrameColumns) -> int:
-    """Append `count` back-to-back frame records from `off` to the columns.
+def encode_block(frames: FrameColumns, detections: DetectionColumns,
+                 activities: list[ActivityEvent], start: tuple[int, int, int],
+                 end: tuple[int, int, int]) -> bytes:
+    """The sealed block of frames start[0]:end[0], detections start[1]:end[1]
+    (whose frame table is `frames`) and activities start[2]:end[2].
 
-    Every record's CRC is checked; the run is cut before the first record
-    whose CRC fails. Returns how many records were taken."""
-    body = _HEADER.size + _FRAME_BODY.size
-    crc32 = zlib.crc32
-    found = array("I", [crc32(data[rec:rec + body])
-                        for rec in range(off, off + count * _FRAME_RECORD, _FRAME_RECORD)])
-    stored = _gather(data, off + body, count, _CRC.size, "I")
-    if found != stored:
-        count = next(i for i, (a, b) in enumerate(zip(found, stored)) if a != b)
-    at = off + _HEADER.size
-    for name, width, typecode in _FRAME_FIELDS:
-        getattr(frames, name).extend(_gather(data, at, count, width, typecode))
-        at += width
-    return count
+    The labels of the block's detections are listed in first-seen order, so
+    a read interns them in the order a walk of their records would."""
+    (f0, d0, a0), (f1, d1, a1) = start, end
+    label_ids = detections.label_id[d0:d1]
+    table = {lid: i for i, lid in enumerate(dict.fromkeys(label_ids))}
+    columns = [getattr(frames, name)[f0:f1] for name, _typecode in _FRAME_COLUMNS]
+    columns += [array("q", map(frames.frame_id.__getitem__, detections.position[d0:d1])),
+                array("i", map(table.__getitem__, label_ids)),
+                detections.kind[d0:d1], detections.confidence[d0:d1]]
+    sections = [_le_bytes(c) for c in columns]
+    sections.append(json.dumps([detections.labels[lid] for lid in table]).encode("utf-8"))
+    sections.append(b"".join(encode_record(ev) for ev in activities[a0:a1]))
+    body = [_BLOCK_HEAD.pack(_BLOCK_MAGIC, f1 - f0, d1 - d0)]
+    for raw in sections:
+        packed = zlib.compress(raw, _ZLIB_LEVEL)
+        body += (_SECTION.pack(len(packed)), packed)
+    data = b"".join(body)
+    return data + _CRC.pack(zlib.crc32(data))
+
+
+def _scan_block(data: bytes, frames: Optional[FrameColumns],
+                detections: Optional[DetectionColumns]) -> tuple[list[FeedRecord], int]:
+    """scan_segment of a sealed block: all of it, or nothing if its CRC fails."""
+    end = len(data) - _CRC.size
+    if end < _BLOCK_HEAD.size or zlib.crc32(memoryview(data)[:end]) != _CRC.unpack_from(data, end)[0]:
+        return [], 0
+    _magic, n_frames, n_dets = _BLOCK_HEAD.unpack_from(data)
+    sections = []
+    off = _BLOCK_HEAD.size
+    try:
+        for _ in range(_BLOCK_SECTIONS):
+            (size,) = _SECTION.unpack_from(data, off)
+            off += _SECTION.size + size
+            sections.append(zlib.decompress(data[off - size:off]))
+    except (struct.error, zlib.error) as e:
+        raise CorruptSegment(f"malformed block: {e}") from None
+    if off != end:
+        raise CorruptSegment("malformed block: sections do not fill it")
+    frame_columns = [_column(raw, typecode, n_frames)
+                     for raw, (_name, typecode) in zip(sections, _FRAME_COLUMNS)]
+    fids, lids, kinds, confidences = (
+        _column(raw, typecode, n_dets)
+        for raw, typecode in zip(sections[len(_FRAME_COLUMNS):], _DET_COLUMNS))
+    try:
+        table = [label.encode("utf-8") for label in json.loads(sections[-2])]
+    except (ValueError, TypeError, AttributeError) as e:
+        raise CorruptSegment(f"malformed block label table: {e}") from None
+    if n_dets and not (0 <= min(lids) <= max(lids) < len(table) and 0 <= min(kinds) <= max(kinds) <= 1):
+        raise CorruptSegment("malformed block: label index or kind out of range")
+    records, good = _scan_log(sections[-1], None, None)
+    if good != len(sections[-1]) or not all(isinstance(r, ActivityEvent) for r in records):
+        raise CorruptSegment("malformed block: bad activity records")
+
+    built: list[FeedRecord] = []  # the frames and detections not taken into columns
+    take_frames = frames is not None
+    if not take_frames:
+        frames = FrameColumns()
+    for (name, _typecode), column in zip(_FRAME_COLUMNS, frame_columns):
+        getattr(frames, name).extend(column)
+    if not take_frames:
+        built += map(frames.frame, range(n_frames))
+    if not take_frames or detections is None:
+        labels = [raw.decode("utf-8") for raw in table]
+        built += (Detection(frame_id=f, label=labels[lid], kind=KINDS[kind], confidence=c)
+                  for f, lid, kind, c in zip(fids, lids, kinds, confidences))
+    elif n_dets:
+        ids = array("i", map(detections.intern, table))
+        positions = array("q", map(frames.position, fids))
+        if min(positions) < 0:
+            raise CorruptSegment(f"detection of unknown frame {fids[positions.index(-1)]}")
+        detections.extend(positions, array("i", map(ids.__getitem__, lids)), kinds, confidences)
+    return built + records, len(data)
 
 
 def scan_segment(data: bytes, frames: Optional[FrameColumns] = None,
                  detections: Optional[DetectionColumns] = None,
                  ) -> tuple[list[FeedRecord], int]:
-    """Decode records from raw segment bytes.
+    """Decode records from a segment file's bytes: a record log or a sealed block.
 
     Returns (records, good_bytes) where good_bytes is the offset of the first
     incomplete or checksum-failing record; everything before it decoded clean.
+    A block decodes whole, or not at all (good_bytes 0) if its CRC fails.
     Given `frames`, frame records are appended to those columns instead of
     being returned. Given `detections` as well (whose frame table is
     `frames`), so are detection records; their frames must be in `frames`
-    by the end of the segment. A run of at least _MIN_RUN back-to-back
-    frame records is checked and cut into the columns in bulk, and it stops
-    at the offset the record-by-record walk would.
+    by the end of the segment. A block returns its frames, then its
+    detections, then its activities.
     """
+    if data.startswith(_BLOCK_MAGIC):
+        return _scan_block(data, frames, detections)
+    return _scan_log(data, frames, detections)
+
+
+def _scan_log(data: bytes, frames: Optional[FrameColumns],
+              detections: Optional[DetectionColumns]) -> tuple[list[FeedRecord], int]:
+    """scan_segment of a record log, walked one record at a time."""
     records: list[FeedRecord] = []
     rows: list[tuple] = []  # frame bodies bound for `frames`
     sighted: list[int] = []  # frame ids of the detections bound for `detections`
@@ -360,23 +417,11 @@ def scan_segment(data: bytes, frames: Optional[FrameColumns] = None,
     head, crc_at = _HEADER.unpack_from, _CRC.unpack_from
     frame_at, det_at = _FRAME_BODY.unpack_from, _DET_BODY.unpack_from
     known = detections.label_ids if take_detections else {}
-    run_probe = (_MIN_RUN - 1) * _FRAME_RECORD
     view = memoryview(data)
     off = 0
     n = len(data)
     while off + _HEADER.size + _CRC.size <= n:
         tag, plen = head(data, off)
-        if (take_frames and tag == TAG_FRAME and plen == frame_size
-                and data.startswith(_FRAME_HEAD, off + run_probe)):
-            run = _frame_run(data, off)
-            if run >= _MIN_RUN:
-                frames.extend(rows)
-                rows = []
-                took = _take_frame_run(data, off, run, frames)
-                off += took * _FRAME_RECORD
-                if took < run:
-                    break
-                continue
         body_end = off + _HEADER.size + plen
         if body_end + _CRC.size > n:
             break
@@ -384,6 +429,9 @@ def scan_segment(data: bytes, frames: Optional[FrameColumns] = None,
             break
         if take_frames and tag == TAG_FRAME and plen == frame_size:
             rows.append(frame_at(data, off + _HEADER.size))
+            if len(rows) == _ROWS_HELD:
+                frames.extend(rows)
+                rows.clear()
         elif take_detections and tag == TAG_DETECTION and plen >= det_size:
             frame_id, kind, confidence = det_at(data, off + _HEADER.size)
             raw = data[off + _HEADER.size + det_size:body_end]
@@ -415,8 +463,9 @@ def scan_segment(data: bytes, frames: Optional[FrameColumns] = None,
 
 def read_segment(path, tolerate_tail: bool, frames: FrameColumns,
                  detections: DetectionColumns, size: int = -1) -> tuple[list[FeedRecord], int]:
-    """Read one segment file, or its first `size` bytes; raise CorruptSegment
-    on a torn tail unless tolerated.
+    """Read one segment file, a log or a block, or its first `size` bytes;
+    raise CorruptSegment on a torn tail unless tolerated (only a log's tail
+    is ever tolerated, and a block fails whole).
 
     Frame and detection records go into `frames` and `detections`; the
     other records are returned."""

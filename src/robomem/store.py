@@ -4,17 +4,26 @@ On-disk layout under the store root:
 
     manifest.json         the store's one commit record, written atomically
                           (tmp + rename): the names of the live segment
-                          files, the committed length of the last one, the
+                          files, the committed length of the log, the
                           name of the refine state's file (null before the
                           first refinement), the warm (hourly) and cold
                           (daily) tier summaries as flat rows, and the
                           analyzed time as (subject, activity, from_us,
                           to_us) coverage rows. One rename publishes all of
                           them.
-    segments/NNNN.seg     append-only binary record log (source of truth).
-                          Bytes past the last segment's committed length are
-                          appends no commit published: open does not read
-                          them, and a read-write open cuts them off.
+    segments/NNNN.blk     a sealed block (segment.encode_block): the
+                          frames, detections and activities of one full
+                          segment as zlib'd columns under one CRC. A flush
+                          that fills the log to segment_max_records writes
+                          the block from the in-memory tables and the
+                          manifest names it, under the log's number, in
+                          place of the log; a migration writes the whole
+                          store as blocks.
+    segments/NNNN.seg     the log: the last segment, if it is not a block,
+                          as append-only framed records. Bytes past its
+                          committed length are appends no commit published:
+                          open does not read them, and a read-write open
+                          cuts them off.
     segments/NNNN.tracks  refinement state: cursor, next track id and one
                           flat row per track, [track_id, label, kind,
                           mean_x, mean_y, c00, c01, c10, c11,
@@ -30,7 +39,9 @@ deletes it right after the manifest rename, and so does a read-write open.
 A crash at any point thus leaves the store as one manifest describes it,
 and a file is never renamed into place except the manifest.
 
-The segments and the manifest are authoritative. Everything else lives
+The segments and the manifest are authoritative. Each segment holds a
+contiguous run of each table below (frames, detections, activities), in
+segment order. Everything else lives
 only in memory and is rebuilt from the segments at open, so no index file is
 written:
 
@@ -67,7 +78,7 @@ import json
 import os
 from bisect import bisect_left, bisect_right, insort
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from itertools import accumulate, islice
 from operator import itemgetter
@@ -97,7 +108,7 @@ from .model import (
 )
 from .refine import fuse, observation_at
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 DEFAULT_SEGMENT_RECORDS = 8192
 
 HOUR_US = 3_600_000_000
@@ -249,9 +260,12 @@ class Store:
     def __init__(self, root: str, mode: str):
         self.root = root
         self.mode = mode
-        self._segments: list[str] = []          # live segment file names
-        self._segment_counts: list[int] = []    # record count per live segment
-        self._last_segment_bytes = 0            # the last segment's length
+        self._segments: list[str] = []          # live segment file names, the log last if any
+        self._log_bytes = 0                     # the log's durable length
+        # (frames, detections, activities) held before the log's first record,
+        # and held in the segment files
+        self._log_start = (0, 0, 0)
+        self._durable = (0, 0, 0)
         self._next_segment_no = 0
         self._segment_max = DEFAULT_SEGMENT_RECORDS
         self._pending: list[bytes] = []         # encoded but unflushed records
@@ -363,23 +377,23 @@ class Store:
         self._segment_max = manifest["segment_max_records"]
         self._next_segment_no = manifest["next_segment_no"]
         self._segments = list(manifest["segments"])
-        for i, name in enumerate(self._segments):
+        for name in self._segments:
             path = os.path.join(self.root, "segments", name)
-            is_last = i == len(self._segments) - 1
-            held_before = len(self._frames) + len(self._detections)
-            # the last segment is read only as far as the manifest committed it
+            is_log = name.endswith(".seg")
+            # the log is read only as far as the manifest committed it
             records, good = segcodec.read_segment(
-                path, tolerate_tail=is_last, frames=self._frames, detections=self._detections,
-                size=manifest["last_segment_bytes"] if is_last else -1)
-            if is_last:
+                path, tolerate_tail=is_log, frames=self._frames, detections=self._detections,
+                size=manifest["log_bytes"] if is_log else -1)
+            if is_log:
                 if good != os.path.getsize(path) and self.mode == "rw":
                     # drop a torn tail, or appends no commit published, once, up front
                     with open(path, "r+b") as fh:
                         fh.truncate(good)
-                self._last_segment_bytes = good
-            self._segment_counts.append(
-                len(records) + len(self._frames) + len(self._detections) - held_before)
+                self._log_bytes = good
             self._activities.extend(records)  # the records left are activities
+            if not is_log:
+                self._log_start = self._held()  # the log, if any, starts after the last block
+        self._durable = self._held()
         self._label_summaries = [_label_summary_from_row(r) for r in manifest["labels"]]
         self._activity_summaries = [_activity_summary_from_row(r) for r in manifest["activities"]]
         self._coverage = [tuple(c) for c in manifest["coverage"]]
@@ -419,63 +433,105 @@ class Store:
                                    ts_to_micros(rec.end)))
 
     def flush(self) -> None:
-        """Make all pending appends durable and commit them (see _commit)."""
+        """Make all pending appends durable and commit them (see _commit).
+
+        Pending records go to the log until it holds segment_max_records;
+        a record that fills it seals the log instead, and the next record
+        starts a new one. A flush that fails part way keeps what it made
+        durable, and the next flush carries on from there."""
         if self.mode != "rw":
             raise ReadOnlyStore("store opened read-only")
-        if self._pending:
-            buf = iter(self._pending)
-            remaining = len(self._pending)
-            while remaining > 0:
-                if not self._segments or self._segment_counts[-1] >= self._segment_max:
-                    name = self._new_name(".seg")
-                    self._segments.append(name)
-                    self._segment_counts.append(0)
-                    self._last_segment_bytes = 0
-                    open(os.path.join(self.root, "segments", name), "wb").close()
-                room = self._segment_max - self._segment_counts[-1]
-                take = min(room, remaining)
-                data = b"".join(next(buf) for _ in range(take))
-                path = os.path.join(self.root, "segments", self._segments[-1])
-                with open(path, "ab") as fh:
-                    fh.write(data)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                self._segment_counts[-1] += take
-                self._last_segment_bytes += len(data)
-                remaining -= take
-            self._pending = []
+        pending = self._pending
+        while pending:
+            held = sum(self._durable) - sum(self._log_start)  # records in the log
+            chunk = pending[:max(self._segment_max - held, 0)]
+            tags = bytes(rec[0] for rec in chunk)
+            f, d, a = self._durable
+            end = (f + tags.count(segcodec.TAG_FRAME), d + tags.count(segcodec.TAG_DETECTION),
+                   a + tags.count(segcodec.TAG_ACTIVITY))
+            if held + len(chunk) >= self._segment_max:
+                self._seal(end)
+            else:
+                self._append_log(b"".join(chunk))
+            self._durable = end
+            del pending[:len(chunk)]
         self._commit()
 
-    def _commit(self) -> None:
+    def _held(self) -> tuple[int, int, int]:
+        return len(self._frames), len(self._detections), len(self._activities)
+
+    def _has_log(self) -> bool:
+        return bool(self._segments) and self._segments[-1].endswith(".seg")
+
+    def _seal(self, end: tuple[int, int, int]) -> None:
+        """Write the log's records, and the pending ones up to `end`, as a
+        block that takes the log's place (and number) in the segment list."""
+        has_log = self._has_log()
+        name = self._segments[-1][:-len(".seg")] + ".blk" if has_log else self._new_name(".blk")
+        _write_durable(os.path.join(self.root, "segments", name), segcodec.encode_block(
+            self._frames, self._detections, self._activities, self._log_start, end))
+        if has_log:
+            self._segments[-1] = name
+        else:
+            self._segments.append(name)
+        self._log_start = end
+        self._log_bytes = 0
+
+    def _append_log(self, data: bytes) -> None:
+        """Append records to the log, starting one if there is none. Bytes
+        a failed flush left past the log's durable length are cut first."""
+        new = not self._has_log()
+        name = self._new_name(".seg") if new else self._segments[-1]
+        with open(os.path.join(self.root, "segments", name), "ab") as fh:
+            fh.truncate(self._log_bytes)
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        if new:
+            self._segments.append(name)
+        self._log_bytes += len(data)
+
+    def _commit(self, **new) -> None:
         """Publish the segments, the refine state, the tier summaries and the
         coverage with one manifest rename, then delete every file in
         segments/ that the manifest does not name.
 
         A changed refine state is first written whole to a fresh .tracks
         file. It needs no tmp file or rename: no reader opens it before the
-        manifest names it, and if the commit fails it is garbage."""
-        if self._refine_changed:
-            name = self._new_name(".tracks")
-            _write_durable(os.path.join(self.root, "segments", name), _json_bytes({
-                "cursor": self._refine_cursor,
+        manifest names it, and if the commit fails it is garbage.
+
+        `new` maps store attributes to the values to publish in place of
+        their own (a migration's segments, summaries, cursor and tables);
+        they are set only once the manifest is renamed, so a commit that
+        fails leaves the store as it was."""
+        def state(name):
+            return new[name] if name in new else getattr(self, name)
+        cursor = state("_refine_cursor")
+        tracks_file = self._tracks_file
+        if self._refine_changed or cursor != self._refine_cursor:
+            tracks_file = self._new_name(".tracks")
+            _write_durable(os.path.join(self.root, "segments", tracks_file), _json_bytes({
+                "cursor": cursor,
                 "next_track_id": self._next_track_id,
                 "tracks": [_track_to_row(t) for t in self.tracks()],
             }))
-            self._tracks_file = name
-            self._refine_changed = False
         path = os.path.join(self.root, "manifest.json")
         _write_durable(path + ".tmp", _json_bytes({
             "version": FORMAT_VERSION,
             "segment_max_records": self._segment_max,
-            "segments": self._segments,
-            "last_segment_bytes": self._last_segment_bytes,
+            "segments": state("_segments"),
+            "log_bytes": state("_log_bytes"),
             "next_segment_no": self._next_segment_no,
-            "tracks": self._tracks_file,
-            "labels": [_label_summary_row(s) for s in self._label_summaries],
-            "activities": [_activity_summary_row(s) for s in self._activity_summaries],
+            "tracks": tracks_file,
+            "labels": [_label_summary_row(s) for s in state("_label_summaries")],
+            "activities": [_activity_summary_row(s) for s in state("_activity_summaries")],
             "coverage": self._coverage,
         }))
         os.replace(path + ".tmp", path)
+        for name, value in new.items():
+            setattr(self, name, value)
+        self._tracks_file = tracks_file
+        self._refine_changed = False
         self._sweep()
 
     def _new_name(self, suffix: str) -> str:
@@ -660,6 +716,8 @@ class Store:
                            subject: Optional[str] = None,
                            rng: Optional[TimeRange] = None) -> list[ActivitySummary]:
         out = []
+        if rng is not None:
+            lo_us, hi_us = ts_to_micros(rng.start), ts_to_micros(rng.end)
         for s in self._activity_summaries:
             if name is not None and s.name != name:
                 continue
@@ -667,7 +725,7 @@ class Store:
                 continue
             if rng is not None:
                 width = HOUR_US if s.tier == "hourly" else DAY_US
-                if s.bucket_us + width <= ts_to_micros(rng.start) or s.bucket_us >= ts_to_micros(rng.end):
+                if s.bucket_us + width <= lo_us or s.bucket_us >= hi_us:
                     continue
             out.append(s)
         out.sort(key=lambda s: (s.bucket_us, s.subject, s.name))
@@ -792,7 +850,11 @@ class Store:
 
         Tracks whose sightings were rolled up keep their spans and fused
         estimate. The refine cursor is renumbered with the detections it
-        counts, so detections appended later are still refined."""
+        counts, so detections appended later are still refined.
+
+        The new summaries, cursor and tables are built apart and installed
+        by the commit that publishes them, so a migration that fails leaves
+        the store as it was."""
         report = MigrationReport(bytes_before=self._bytes_on_disk())
         hot_us = ts_to_micros(now - policy.hot_window)
         warm_us = ts_to_micros(now - policy.warm_window)
@@ -812,19 +874,22 @@ class Store:
                     groups.setdefault(key, []).append(seq)
                 else:
                     keep.append(seq)
+            label_summaries = list(self._label_summaries)
             for (label, kind, bucket_us), seqs in sorted(groups.items()):
-                self._label_summaries.append(self._summarize(label, kind, bucket_us, "hourly", seqs))
+                label_summaries.append(self._summarize(label, kind, bucket_us, "hourly", seqs))
                 report.detections_migrated += len(seqs)
                 report.hourly_created += 1
 
             keep_activities: list[ActivityEvent] = []
+            # copies, since migrated events add to the hourly ones in place
+            activity_summaries = [replace(s) for s in self._activity_summaries]
             hourly = {}  # (subject, name, bucket_us) -> its hourly activity summary
-            for s in self._activity_summaries:
+            for s in activity_summaries:
                 if s.tier == "hourly":
                     hourly.setdefault((s.subject, s.name, s.bucket_us), s)
             for ev in self._activities:
                 if ts_to_micros(ev.end) < hot_us:
-                    self._summarize_activity(ev, hourly)
+                    self._summarize_activity(ev, hourly, activity_summaries)
                     report.activities_migrated += 1
                 else:
                     keep_activities.append(ev)
@@ -832,7 +897,7 @@ class Store:
             # roll old hourly summaries to daily
             fresh: list[LabelSummary] = []
             daily: dict[tuple[str, str, int], LabelSummary] = {}
-            for s in self._label_summaries:
+            for s in label_summaries:
                 if s.tier == "hourly" and s.bucket_us < warm_us:
                     day = s.bucket_us - s.bucket_us % DAY_US
                     cur = daily.get((s.label, s.kind, day))
@@ -841,11 +906,11 @@ class Store:
                 else:
                     fresh.append(s)
             report.daily_created = len(daily)
-            self._label_summaries = fresh + [daily[k] for k in sorted(daily)]
+            label_summaries = fresh + [daily[k] for k in sorted(daily)]
 
             fresh_act: list[ActivitySummary] = []
             daily_act: dict[tuple[str, str, int], ActivitySummary] = {}
-            for s in self._activity_summaries:
+            for s in activity_summaries:
                 if s.tier == "hourly" and s.bucket_us < warm_us:
                     day = s.bucket_us - s.bucket_us % DAY_US
                     cur = daily_act.get((s.subject, s.name, day))
@@ -859,7 +924,8 @@ class Store:
                         cur.prob = max(cur.prob, s.prob)
                 else:
                     fresh_act.append(s)
-            self._activity_summaries = fresh_act + [daily_act[k] for k in sorted(daily_act)]
+            summaries = dict(_label_summaries=label_summaries, _activity_summaries=(
+                fresh_act + [daily_act[k] for k in sorted(daily_act)]))
 
             # check conservation before dropping raw records
             migrated = report.detections_migrated
@@ -868,13 +934,10 @@ class Store:
                 raise CorruptSegment("migration count mismatch")
 
             if migrated or report.activities_migrated:
-                cursor = bisect_left(keep, self._refine_cursor)
-                if cursor != self._refine_cursor:
-                    self._refine_cursor = cursor
-                    self._refine_changed = True
-                self._rewrite_segments(keep, keep_activities)
+                self._rewrite_segments(keep, keep_activities, _refine_cursor=bisect_left(
+                    keep, self._refine_cursor), **summaries)
             else:
-                self._commit()
+                self._commit(**summaries)
         report.bytes_after = self._bytes_on_disk()
         return report
 
@@ -923,9 +986,11 @@ class Store:
         )
 
     def _summarize_activity(self, ev: ActivityEvent,
-                            hourly: dict[tuple[str, str, int], ActivitySummary]) -> None:
+                            hourly: dict[tuple[str, str, int], ActivitySummary],
+                            summaries: list[ActivitySummary]) -> None:
         """Split one event's seconds across hourly buckets; `hourly` indexes
-        the hourly activity summaries by (subject, name, bucket_us)."""
+        the hourly activity summaries by (subject, name, bucket_us), and a
+        new one is added to it and to `summaries`."""
         start_us, end_us = ts_to_micros(ev.start), ts_to_micros(ev.end)
         bucket = start_us - start_us % HOUR_US
         while bucket <= end_us:
@@ -938,7 +1003,7 @@ class Store:
                     s = hourly[(ev.subject, ev.name, bucket)] = ActivitySummary(
                         subject=ev.subject, name=ev.name, tier="hourly",
                         bucket_us=bucket, seconds=secs, count=1, prob=ev.prob, loc=ev.loc)
-                    self._activity_summaries.append(s)
+                    summaries.append(s)
                 else:
                     existing.seconds += secs
                     existing.count += 1
@@ -947,35 +1012,24 @@ class Store:
                         existing.loc = ev.loc
             bucket += HOUR_US
 
-    def _rewrite_segments(self, keep: list[int], activities: list[ActivityEvent]) -> None:
-        """Write a fresh segment generation holding frames + surviving records.
-
-        Frames and the kept detections (by seq) are encoded straight from
-        their columns; a migration leaves the frame table as it is, so the
-        kept detections keep their frame positions."""
-        frames, dets = self._frames, self._detections
-        encoded = [frames.encode(i) for i in range(len(frames))]
-        encoded.extend(dets.encode(seq) for seq in keep)
-        encoded.extend(segcodec.encode_record(r) for r in activities)
-
-        new_names: list[str] = []
-        new_counts: list[int] = []
-        for i in range(0, max(len(encoded), 1), self._segment_max):
-            chunk = encoded[i:i + self._segment_max]
-            data = b"".join(chunk)
-            name = self._new_name(".seg")
-            _write_durable(os.path.join(self.root, "segments", name), data)
-            new_names.append(name)
-            new_counts.append(len(chunk))
-        self._segments = new_names
-        self._segment_counts = new_counts
-        self._last_segment_bytes = len(data)
-
-        # the surviving records; coverage is historical fact and stays as it is
-        self._detections = dets.select(keep)
-        self._activities = activities
-
-        self._commit()  # its sweep deletes the old generation
+    def _rewrite_segments(self, keep: list[int], activities: list[ActivityEvent], **new) -> None:
+        """Write the store afresh as blocks of frames, then the kept
+        detections (by seq), then `activities`, segment_max_records each,
+        and commit them with `new` (see _commit). A migration leaves the
+        frame table as it is, so the kept detections keep their frame
+        positions; coverage is historical fact and stays as it is."""
+        frames, dets = self._frames, self._detections.select(keep)
+        counts = (len(frames), len(dets), len(activities))
+        names = []
+        for lo in range(0, sum(counts), self._segment_max):
+            name = self._new_name(".blk")
+            _write_durable(os.path.join(self.root, "segments", name), segcodec.encode_block(
+                frames, dets, activities, _split(counts, lo),
+                _split(counts, min(lo + self._segment_max, sum(counts)))))
+            names.append(name)
+        # its sweep deletes the old generation
+        self._commit(_segments=names, _log_bytes=0, _log_start=counts, _durable=counts,
+                     _detections=dets, _activities=activities, **new)
 
     # ------------------------------------------------------------------ stats
 
@@ -994,6 +1048,14 @@ class Store:
             tracks=len(self._tracks if self._track_rows is None else self._track_rows),
             bytes_per_frame=nbytes / max(frames, 1),
         )
+
+
+def _split(counts: tuple[int, int, int], k: int) -> tuple[int, int, int]:
+    """How many frames, detections and activities the first k records hold,
+    with `counts` of each written in that order."""
+    frames = min(k, counts[0])
+    detections = min(k - frames, counts[1])
+    return frames, detections, k - frames - detections
 
 
 def _move_spans(spans: list[tuple[int, int, int]], old: Optional[Track], new: Track,

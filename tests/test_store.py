@@ -9,6 +9,7 @@ import sys
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import robomem
 
@@ -21,11 +22,13 @@ from robomem.errors import (
 )
 from robomem.ingest import ingest_stream
 from robomem.model import (
+    ActivityEvent,
     Detection,
     FrameMeta,
     LocationEstimate,
     Pose,
     TimeRange,
+    ts_from_micros,
     ts_parse,
     ts_to_micros,
 )
@@ -33,7 +36,14 @@ from robomem.query import run_query
 from robomem.refine import run_refinement_pass
 from robomem.reprocess import OracleReprocessor, run_reprocess
 from robomem.scenario import generate_scenario
-from robomem.segment import decode_payload, encode_record, scan_segment
+from robomem.segment import (
+    DetectionColumns,
+    FrameColumns,
+    decode_payload,
+    encode_block,
+    encode_record,
+    scan_segment,
+)
 from robomem.store import FORMAT_VERSION, Store, TierPolicy
 
 from conftest import small_scenario
@@ -59,6 +69,11 @@ def brute_find(records, label, rng=None, kind=None):
 def _manifest(root):
     with open(os.path.join(root, "manifest.json")) as fh:
         return json.load(fh)
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _named_files(root):
@@ -125,13 +140,14 @@ def test_killed_writer_releases_lock(tmp_path, death):
 def test_newer_version_refused(tmp_path, store):
     # a newer store is refused, and so is an older one: versions 1 and 2
     # with an old tracks.json, version 3 with its tier summaries and
-    # coverage in summaries.json and coverage.json, and version 4 with its
-    # refine state in tracks.json; nothing converts them
+    # coverage in summaries.json and coverage.json, version 4 with its
+    # refine state in tracks.json, and version 5 with every segment a
+    # record log; nothing converts them
     store.close()
     p = os.path.join(store.root, "manifest.json")
     with open(p) as fh:
         m = json.load(fh)
-    for version in (99, 1, 2, 3, 4):
+    for version in (99, 1, 2, 3, 4, 5):
         m["version"] = version
         with open(p, "w") as fh:
             json.dump(m, fh)
@@ -392,34 +408,33 @@ def _set_segment_max(root, records):
 
 @pytest.mark.parametrize("migrated", [False, True], ids=["ingested", "migrated"])
 def test_damaged_tail_opens_as_record_walk(tmp_path, migrated):
-    """With its last segment cut or bit-flipped at many offsets, a store
-    opens to what a record-by-record walk of its segments gives: the same
-    frames and detections, and the tail cut back to the same offset. A
-    migrated store's segments hold long runs of frame records, which open
-    reads in bulk; an ingested one interleaves frames and detections.
-    Damage in an earlier segment is corruption."""
+    """With its log cut or bit-flipped at many offsets, a store opens to
+    what its blocks and a record-by-record walk of the log give: the same
+    frames and detections, and the log cut back to the same offset. The
+    blocks before the log were sealed by flushes, or, in a migrated store,
+    written by the migration before the rest of the feed came in. Damage in
+    a block is corruption."""
     _gt, records = generate_scenario(small_scenario(seed=8, minutes=1.5))
+    frames = [r for r in records if isinstance(r, FrameMeta)]
+    cut = records.index(frames[len(frames) * 2 // 3]) if migrated else len(records)
     root = str(tmp_path / "s")
     Store.create(root).close()
     _set_segment_max(root, 400)
     with Store.open(root) as s:
-        ingest_stream(iter(records), s)
+        ingest_stream(iter(records[:cut]), s)
         if migrated:
-            frames = [r for r in records if isinstance(r, FrameMeta)]
             now = frames[len(frames) // 2].ts + timedelta(days=7)
             assert s.migrate_tiers(now, TierPolicy(hot_window=timedelta(days=7))).detections_migrated
-    paths = [os.path.join(root, "segments", n) for n in _manifest(root)["segments"]]
-    assert len(paths) >= 2
-    blobs = []
-    for path in paths:
-        with open(path, "rb") as fh:
-            blobs.append(fh.read())
+            ingest_stream(iter(records[cut:]), s)
+    names = _manifest(root)["segments"]
+    assert len(names) >= 2
+    assert all(n.endswith(".blk") for n in names[:-1]) and names[-1].endswith(".seg")
+    paths = [os.path.join(root, "segments", n) for n in names]
+    blobs = [_read(path) for path in paths]
     earlier = [r for blob in blobs[:-1] for r in scan_segment(blob)[0]]
     last = blobs[-1]
     tail = scan_segment(last)[0]
     assert any(isinstance(r, Detection) for r in tail)
-    if migrated:  # a frame run long enough for the bulk path opens the segment
-        assert all(isinstance(r, FrameMeta) for r in tail[:100])
 
     rng = random.Random(11)
     for trial in range(160):
@@ -451,6 +466,101 @@ def test_damaged_tail_opens_as_record_walk(tmp_path, migrated):
         for mode in ("ro", "rw"):
             with pytest.raises(CorruptSegment):
                 Store.open(root, mode=mode)
+
+
+def test_damaged_block_is_corruption(tmp_path):
+    """A block bit-flipped or cut anywhere fails the open, read-only and
+    read-write, and is left as it is, also when it is the last file the
+    manifest names: a block is never cut back like a log's tail."""
+    s, _gt, _records = migration_fixture(tmp_path)
+    s.close()
+    _set_segment_max(s.root, 400)
+    policy = TierPolicy(hot_window=timedelta(days=7))
+    with Store.open(s.root) as s:  # a migration writes every segment as a block
+        s.migrate_tiers(s.time_bounds().start + timedelta(seconds=90) + policy.hot_window, policy)
+        assert s.detection_count() > 0
+    names = _manifest(s.root)["segments"]
+    assert len(names) >= 2 and all(n.endswith(".blk") for n in names)
+    rng = random.Random(12)
+    for path in (os.path.join(s.root, "segments", n) for n in (names[0], names[-1])):
+        block = _read(path)
+        for trial in range(40):
+            data = bytearray(block)
+            if trial % 4 == 3:
+                del data[rng.randrange(len(data)):]
+            else:
+                data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            with open(path, "wb") as fh:
+                fh.write(data)
+            for mode in ("ro", "rw"):
+                with pytest.raises(CorruptSegment):
+                    Store.open(s.root, mode=mode)
+                assert _read(path) == data
+        with open(path, "wb") as fh:
+            fh.write(block)
+    Store.open(s.root, mode="ro").close()
+
+
+def _records_by_type(records):
+    return [[r for r in records if isinstance(r, t)] for t in (FrameMeta, Detection, ActivityEvent)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 10**7)), min_size=1, max_size=40),
+    poses=st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
+    labels=st.lists(st.sampled_from(["cup", "mug", "café", "日本", "a b"]), min_size=1, max_size=40),
+    confidences=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    split=st.floats(0.0, 1.0),
+)
+def test_block_round_trip(steps, poses, labels, confidences, split):
+    """Frames, detections (also of frames in an earlier block) and
+    activities come back from blocks equal to what their log gives, as
+    records and into the tables, and a block holds what its log held."""
+    records = []
+    ids, ts_us = [], 10**15
+    for i, (what, step) in enumerate(steps):
+        if what <= 1 or not ids:
+            ids.append(ids[-1] + step % 7 + 1 if ids else step)
+            ts_us += step * what
+            records.append(FrameMeta(ids[-1], ts_from_micros(ts_us), Pose(*(
+                p * (i + 1) for p in poses))))
+        elif what == 2:
+            records.append(Detection(ids[-1 - step % len(ids)], labels[i % len(labels)],
+                                     ("object", "person")[step % 2], confidences[i % len(confidences)]))
+        else:
+            loc = LocationEstimate(mean=(poses[0], poses[1]), cov=((2.0, 0.5), (0.5, 1.0)))
+            records.append(ActivityEvent(labels[i % len(labels)], "walk", ts_from_micros(ts_us),
+                                         ts_from_micros(ts_us + step), loc if step % 2 else None,
+                                         confidences[i % len(confidences)],
+                                         ("ingested", "reprocessed")[step % 3 == 0]))
+    log = b"".join(encode_record(r) for r in records)
+    walked, good = scan_segment(log)
+    assert good == len(log)
+    frames = FrameColumns()
+    dets = DetectionColumns(frames)
+    activities, _good = scan_segment(log, frames, dets)
+    counts = (len(frames), len(dets), len(activities))
+    whole = encode_block(frames, dets, activities, (0, 0, 0), counts)
+    got, good = scan_segment(whole)
+    assert good == len(whole) and _records_by_type(got) == _records_by_type(walked)
+
+    # two blocks, split after a prefix of the records, as a seal splits the log
+    middle = tuple(len(t) for t in _records_by_type(records[:round(len(records) * split)]))
+    blocks = [encode_block(frames, dets, activities, (0, 0, 0), middle),
+              encode_block(frames, dets, activities, middle, counts)]
+    frames2 = FrameColumns()
+    dets2 = DetectionColumns(frames2)
+    activities2 = []
+    for block in blocks:
+        rest, good = scan_segment(block, frames2, dets2)
+        assert good == len(block)
+        activities2 += rest
+    assert activities2 == activities
+    for name in FrameColumns.__slots__:
+        assert getattr(frames2, name) == getattr(frames, name)
+    assert [dets2.detection(i) for i in range(len(dets2))] == [dets.detection(i) for i in range(len(dets))]
+    assert dets2.labels == dets.labels and dets2.postings == dets.postings
 
 
 def test_reprocessed_sightings_read_the_same_after_reopen(store):
@@ -514,11 +624,7 @@ def served_frames(records):
 
 
 def segment_bytes(root):
-    data = b""
-    for name in _manifest(root)["segments"]:
-        with open(os.path.join(root, "segments", name), "rb") as fh:
-            data += fh.read()
-    return data
+    return b"".join(_read(os.path.join(root, "segments", n)) for n in _manifest(root)["segments"])
 
 
 def assert_frame_table(store, frames):
@@ -566,7 +672,9 @@ def test_frame_table_matches_records(tmp_path):
     now = frames[len(frames) // 2].ts + timedelta(days=7)
     assert s.migrate_tiers(now, TierPolicy(hot_window=timedelta(days=7))).detections_migrated
     assert_frame_table(s, frames)
-    assert segment_bytes(root).startswith(b"".join(encode_record(f) for f in frames))
+    migrated = [r for n in _manifest(root)["segments"]
+                for r in scan_segment(_read(os.path.join(root, "segments", n)))[0]]
+    assert [r for r in migrated if isinstance(r, FrameMeta)] == frames
     s.close()
     s = Store.open(root, mode="ro")
     assert_frame_table(s, frames)
@@ -885,11 +993,101 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
     assert not failed and after != before
     check(root, [after])
     assert calls["replace"] >= 1 and calls["fsync"] >= 2
+    # the flush seals the log and the migration writes the store as blocks,
+    # so every write of a seal is failed in turn below
+    written = {n for n in _manifest(root)["segments"] if n.endswith(".blk")} - set(
+        _manifest(base)["segments"])
+    assert bool(written) == (prepare is not _prepare_reprocess)
     for fail in calls:
         for k in range(1, calls[fail] + 1):
             root, _calls, failed = attempt(f"{fail}{k}", fail, k)
             assert failed
             check(root, [before, after])
+
+
+@pytest.mark.parametrize("operation", ["append", "seal", "migrate"])
+def test_writer_carries_on_after_a_failed_fsync(tmp_path, monkeypatch, operation):
+    """For every k, the k-th os.fsync of a flush that appends to the log,
+    of one that seals it, or of a migration, fails, and the writer carries
+    on with a flush. A failed migration leaves the writer's memory as it
+    was: the sightings (raw hits plus summary counts), the tier summaries,
+    the activities and the refine cursor. A failed flush keeps its records
+    pending, and the next flush writes each of them once. A reopen reads
+    what the writer holds."""
+    _gt, records = generate_scenario(small_scenario(seed=9, minutes=3.0))
+    frames = [r for r in records if isinstance(r, FrameMeta)]
+    cut = records.index(frames[len(frames) * 2 // 3])
+    t0 = frames[0].ts
+    policy = TierPolicy(hot_window=timedelta(days=7))
+    base = str(tmp_path / "base")
+    Store.create(base).close()
+    _set_segment_max(base, 400)
+    with Store.open(base) as s:
+        if operation == "migrate":
+            ingest_stream(iter(records), s)
+            # two events of one hour: the migration below adds the second to
+            # the hourly summary this one makes of the first
+            for a, b in ((5, 10), (100, 110)):
+                s.append(ActivityEvent("ifrah", "dance", t0 + timedelta(seconds=a),
+                                       t0 + timedelta(seconds=b)))
+            run_refinement_pass(s)
+            s.migrate_tiers(t0 + timedelta(seconds=60) + policy.hot_window, policy)
+        else:
+            ingest_stream(iter(records[:cut]), s)
+            run_refinement_pass(s)
+
+    def state(st):
+        return (_sightings(st), st.detection_count(), st.label_summaries(),
+                st.activity_summaries(), st.activities(), st.load_refine_state()["cursor"])
+
+    def attempt(name, fail_at=0):
+        root = str(tmp_path / name)
+        shutil.copytree(base, root)
+        st = Store.open(root)
+        fsyncs = 0
+        real = os.fsync
+
+        def fsync(fd):
+            nonlocal fsyncs
+            fsyncs += 1
+            if fsyncs == fail_at:
+                raise OSError(f"injected failure at os.fsync #{fsyncs}")
+            real(fd)
+        with monkeypatch.context() as m:
+            m.setattr(os, "fsync", fsync)
+            try:
+                if operation == "migrate":
+                    st.migrate_tiers(t0 + timedelta(seconds=150) + policy.hot_window, policy)
+                else:
+                    for r in records[cut:cut + 20] if operation == "append" else records[cut:]:
+                        st.append(r)
+                    st.flush()
+            except OSError:
+                assert fsyncs == fail_at
+        return st, fsyncs
+
+    st = Store.open(base, mode="ro")
+    before = state(st)
+    st.close()
+    st, fsyncs = attempt("clean")
+    after = state(st)
+    assert after != before and fsyncs >= 2
+    assert any(n.endswith(".blk") and n not in _manifest(base)["segments"]
+               for n in _manifest(st.root)["segments"]) == (operation != "append")
+    st.close()
+    want = before if operation == "migrate" else after
+    for k in range(1, fsyncs + 1):
+        st, _ = attempt(f"fail{k}", k)
+        assert state(st) == want
+        st.flush()
+        st.close()
+        # the log holds nothing past its committed length, where an append would go
+        m = _manifest(st.root)
+        if m["segments"][-1].endswith(".seg"):
+            assert os.path.getsize(os.path.join(st.root, "segments", m["segments"][-1])) == m["log_bytes"]
+        reopened = Store.open(st.root, mode="ro")
+        assert state(reopened) == want
+        reopened.close()
 
 
 def test_store_files_are_manifest_segments_and_tracks(tmp_path):

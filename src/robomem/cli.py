@@ -20,7 +20,7 @@ import statistics
 import sys
 import tempfile
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from datetime import datetime, timedelta, timezone
 
 from .errors import QuerySemanticError, QuerySyntaxError, RoboMemError
@@ -225,12 +225,7 @@ def cmd_ingest(args) -> int:
 def cmd_refine(args) -> int:
     with Store.open(args.store, mode="rw") as store:
         report = run_refinement_pass(store, _policy_from_args(args))
-    payload = {
-        "tracks_created": report.tracks_created,
-        "tracks_updated": report.tracks_updated,
-        "observations_fused": report.observations_fused,
-    }
-    _emit(args, payload,
+    _emit(args, asdict(report),
           f"refined: {report.tracks_created} tracks created, "
           f"{report.tracks_updated} updated, {report.observations_fused} observations fused")
     return 0
@@ -241,16 +236,7 @@ def cmd_migrate(args) -> int:
                         warm_window=timedelta(days=args.warm_days))
     with Store.open(args.store, mode="rw") as store:
         report = store.migrate_tiers(args.now, policy)
-    payload = {
-        "detections_migrated": report.detections_migrated,
-        "activities_migrated": report.activities_migrated,
-        "hourly_created": report.hourly_created,
-        "hourly_rolled": report.hourly_rolled,
-        "daily_created": report.daily_created,
-        "bytes_before": report.bytes_before,
-        "bytes_after": report.bytes_after,
-    }
-    _emit(args, payload,
+    _emit(args, asdict(report),
           f"migrated {report.detections_migrated} detections and "
           f"{report.activities_migrated} activities; "
           f"{report.bytes_before} -> {report.bytes_after} bytes")
@@ -344,14 +330,7 @@ def cmd_bench(args) -> int:
 def cmd_stats(args) -> int:
     with Store.open(args.store, mode="ro") as store:
         s = store.stats()
-    payload = {
-        "bytes_on_disk": s.bytes_on_disk,
-        "frames": s.frames,
-        "detections": s.detections,
-        "tracks": s.tracks,
-        "bytes_per_frame": s.bytes_per_frame,
-    }
-    _emit(args, payload,
+    _emit(args, asdict(s),
           f"{s.frames} frames, {s.detections} detections, {s.tracks} tracks, "
           f"{s.bytes_on_disk} bytes ({s.bytes_per_frame:.1f} per frame)")
     return 0

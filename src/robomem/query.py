@@ -49,7 +49,7 @@ from .model import (
 )
 from .refine import RefinePolicy, existence_probability, observation_from_detection
 from .reprocess import DEFAULT_BUDGET, select_frames
-from .store import HOUR_US, DAY_US, Store
+from .store import DAY_US, HOUR_US, Store, bucket_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +291,16 @@ def _activity_executor(reduce, none: Answer):
     return execute
 
 
-def _bucket_start_us(ts_us: int, bucket: str) -> int:
-    width = HOUR_US if bucket == "hour" else DAY_US
-    return ts_us - ts_us % width
-
-
 def _summary_overlap_seconds(s, rng: TimeRange) -> float:
     """Clip a summary bucket's seconds to the query range, proportionally.
 
     Exact when the range covers whole buckets; an approximation otherwise,
     which is the price of having dropped the raw events."""
-    width = HOUR_US if s.tier == "hourly" else DAY_US
     lo = max(s.bucket_us, ts_to_micros(rng.start))
-    hi = min(s.bucket_us + width, ts_to_micros(rng.end))
+    hi = min(s.bucket_us + s.width_us, ts_to_micros(rng.end))
     if hi <= lo:
         return 0.0
-    return s.seconds * (hi - lo) / width
+    return s.seconds * (hi - lo) / s.width_us
 
 
 def _reduce_did(ast: Did, store: Store, events, summaries) -> Answer:
@@ -327,6 +321,7 @@ def _reduce_did(ast: Did, store: Store, events, summaries) -> Answer:
 def _reduce_duration(ast: Duration, _store, events, summaries) -> Answer:
     total = 0.0
     buckets: dict[int, float] = {}
+    width = HOUR_US if ast.bucket == "hour" else DAY_US
     for e in events:
         lo = max(e.start, ast.range.start)
         hi = min(e.end, ast.range.end)
@@ -334,18 +329,13 @@ def _reduce_duration(ast: Duration, _store, events, summaries) -> Answer:
             continue
         total += (hi - lo).total_seconds()
         if ast.bucket:
-            width = HOUR_US if ast.bucket == "hour" else DAY_US
-            b = _bucket_start_us(ts_to_micros(lo), ast.bucket)
-            while b < ts_to_micros(hi):
-                seg_lo = max(ts_to_micros(lo), b)
-                seg_hi = min(ts_to_micros(hi), b + width)
-                buckets[b] = buckets.get(b, 0.0) + (seg_hi - seg_lo) / 1e6
-                b += width
+            for b, secs in bucket_seconds(ts_to_micros(lo), ts_to_micros(hi), width):
+                buckets[b] = buckets.get(b, 0.0) + secs
     for s in summaries:
         secs = _summary_overlap_seconds(s, ast.range)
         total += secs
         if ast.bucket and secs > 0:
-            b = _bucket_start_us(s.bucket_us, ast.bucket)
+            b = s.bucket_us - s.bucket_us % width
             buckets[b] = buckets.get(b, 0.0) + secs
     per_bucket = tuple((ts_from_micros(b), buckets[b]) for b in sorted(buckets))
     return DurationAnswer(total_seconds=total, per_bucket=per_bucket,

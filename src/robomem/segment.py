@@ -78,8 +78,7 @@ def encode_record(record: FeedRecord) -> bytes:
         )
         return _frame(TAG_FRAME, payload)
     if isinstance(record, Detection):
-        kind = 0 if record.kind == "object" else 1
-        payload = _DET_BODY.pack(record.frame_id, kind, record.confidence)
+        payload = _DET_BODY.pack(record.frame_id, _KIND_CODE[record.kind], record.confidence)
         payload += record.label.encode("utf-8")
         return _frame(TAG_DETECTION, payload)
     if isinstance(record, ActivityEvent):
@@ -106,9 +105,10 @@ def decode_payload(tag: int, payload: bytes) -> FeedRecord:
                          pose=Pose(x=x, y=y, z=z, roll=roll, pitch=pitch, yaw=yaw))
     if tag == TAG_DETECTION:
         f, kind, conf = _DET_BODY.unpack(payload[:_DET_BODY.size])
+        if kind >= len(KINDS):
+            raise CorruptSegment(f"unknown detection kind {kind}")
         label = payload[_DET_BODY.size:].decode("utf-8")
-        return Detection(frame_id=f, label=label,
-                         kind="object" if kind == 0 else "person", confidence=conf)
+        return Detection(frame_id=f, label=label, kind=KINDS[kind], confidence=conf)
     if tag == TAG_ACTIVITY:
         start_us, end_us, prob, prov, has_loc, subj_len = _ACT_HEAD.unpack(payload[:_ACT_HEAD.size])
         off = _ACT_HEAD.size
@@ -358,7 +358,8 @@ def _scan_block(data: bytes, frames: Optional[FrameColumns],
         table = [label.encode("utf-8") for label in json.loads(sections[-2])]
     except (ValueError, TypeError, AttributeError) as e:
         raise CorruptSegment(f"malformed block label table: {e}") from None
-    if n_dets and not (0 <= min(lids) <= max(lids) < len(table) and 0 <= min(kinds) <= max(kinds) <= 1):
+    if n_dets and not (0 <= min(lids) <= max(lids) < len(table)
+                       and 0 <= min(kinds) <= max(kinds) < len(KINDS)):
         raise CorruptSegment("malformed block: label index or kind out of range")
     records, good = _scan_log(sections[-1], None, None)
     if good != len(sections[-1]) or not all(isinstance(r, ActivityEvent) for r in records):
@@ -434,6 +435,8 @@ def _scan_log(data: bytes, frames: Optional[FrameColumns],
                 rows.clear()
         elif take_detections and tag == TAG_DETECTION and plen >= det_size:
             frame_id, kind, confidence = det_at(data, off + _HEADER.size)
+            if kind >= len(KINDS):  # as decode_payload rejects it
+                break
             raw = data[off + _HEADER.size + det_size:body_end]
             lid = known.get(raw)
             if lid is None:
@@ -443,7 +446,7 @@ def _scan_log(data: bytes, frames: Optional[FrameColumns],
                     break
             sighted.append(frame_id)
             label_ids.append(lid)
-            kinds.append(1 if kind else 0)
+            kinds.append(kind)
             confidences.append(confidence)
         else:
             try:

@@ -10,7 +10,10 @@ On-disk layout under the store root:
                           (daily) tier summaries as flat rows, and the
                           analyzed time as (subject, activity, from_us,
                           to_us) coverage rows. One rename publishes all of
-                          them.
+                          them. A summary row is immutable, and there is one
+                          per (what, tier, bucket), what being a label and
+                          kind or a subject and activity: a migration merges
+                          into a bucket's row rather than add a second.
     segments/NNNN.blk     a sealed block (segment.encode_block): the
                           frames, detections and activities of one full
                           segment as zlib'd columns under one CRC. A flush
@@ -81,12 +84,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from itertools import accumulate, islice
-from operator import itemgetter
-from typing import Iterable, Optional
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, Optional
 
 from . import segment as segcodec
 from .errors import (
-    CorruptSegment,
     InvalidRecord,
     MigrationConflict,
     ReadOnlyStore,
@@ -123,8 +125,19 @@ class TierPolicy:
     warm_window: timedelta = timedelta(days=90)
 
 
-@dataclass
-class LabelSummary:
+class _TierRow:
+    """What the two kinds of tier summary row share. A row is immutable, and
+    the store holds one row per key: what it counts, its tier and its
+    bucket. A migration merges rows of one key into a new row."""
+
+    @property
+    def width_us(self) -> int:
+        """The width of the row's bucket: an hour (hourly) or a day (daily)."""
+        return HOUR_US if self.tier == "hourly" else DAY_US
+
+
+@dataclass(frozen=True)
+class LabelSummary(_TierRow):
     """Rolled-up sightings of one label within one hour (warm) or day (cold)."""
     label: str
     kind: str
@@ -138,9 +151,14 @@ class LabelSummary:
     loc: LocationEstimate
     detect_prob: float
 
+    @property
+    def key(self) -> tuple[str, str, str, int]:
+        return self.label, self.kind, self.tier, self.bucket_us
 
-@dataclass
-class ActivitySummary:
+
+@dataclass(frozen=True)
+class ActivitySummary(_TierRow):
+    """Seconds of one subject's activity within one hour (warm) or day (cold)."""
     subject: str
     name: str
     tier: str
@@ -149,6 +167,10 @@ class ActivitySummary:
     count: int
     prob: float
     loc: Optional[LocationEstimate] = None
+
+    @property
+    def key(self) -> tuple[str, str, str, int]:
+        return self.subject, self.name, self.tier, self.bucket_us
 
 
 @dataclass(frozen=True)
@@ -723,10 +745,8 @@ class Store:
                 continue
             if subject is not None and s.subject != subject:
                 continue
-            if rng is not None:
-                width = HOUR_US if s.tier == "hourly" else DAY_US
-                if s.bucket_us + width <= lo_us or s.bucket_us >= hi_us:
-                    continue
+            if rng is not None and (s.bucket_us + s.width_us <= lo_us or s.bucket_us >= hi_us):
+                continue
             out.append(s)
         out.sort(key=lambda s: (s.bucket_us, s.subject, s.name))
         return out
@@ -848,6 +868,12 @@ class Store:
         target frames. Rewrites segments; raw records in migrated ranges are
         gone afterwards.
 
+        Both kinds of summary row take the same two steps: new hourly rows
+        merge into the hourly row of their key, or are appended
+        (_merge_into), and hourly rows older than the warm window merge per
+        key and day into the daily row of that day (_roll_daily). The report
+        counts label rows; hourly_created and daily_created count rows added.
+
         Tracks whose sightings were rolled up keep their spans and fused
         estimate. The refine cursor is renumbered with the detections it
         counts, so detections appended later are still refined.
@@ -874,66 +900,29 @@ class Store:
                     groups.setdefault(key, []).append(seq)
                 else:
                     keep.append(seq)
-            label_summaries = list(self._label_summaries)
-            for (label, kind, bucket_us), seqs in sorted(groups.items()):
-                label_summaries.append(self._summarize(label, kind, bucket_us, "hourly", seqs))
-                report.detections_migrated += len(seqs)
-                report.hourly_created += 1
-
             keep_activities: list[ActivityEvent] = []
-            # copies, since migrated events add to the hourly ones in place
-            activity_summaries = [replace(s) for s in self._activity_summaries]
-            hourly = {}  # (subject, name, bucket_us) -> its hourly activity summary
-            for s in activity_summaries:
-                if s.tier == "hourly":
-                    hourly.setdefault((s.subject, s.name, s.bucket_us), s)
+            old_activities: list[ActivityEvent] = []
             for ev in self._activities:
-                if ts_to_micros(ev.end) < hot_us:
-                    self._summarize_activity(ev, hourly, activity_summaries)
-                    report.activities_migrated += 1
-                else:
-                    keep_activities.append(ev)
+                (old_activities if ts_to_micros(ev.end) < hot_us else keep_activities).append(ev)
+            report.detections_migrated = len(dets) - len(keep)
+            report.activities_migrated = len(old_activities)
 
-            # roll old hourly summaries to daily
-            fresh: list[LabelSummary] = []
-            daily: dict[tuple[str, str, int], LabelSummary] = {}
-            for s in label_summaries:
-                if s.tier == "hourly" and s.bucket_us < warm_us:
-                    day = s.bucket_us - s.bucket_us % DAY_US
-                    cur = daily.get((s.label, s.kind, day))
-                    daily[(s.label, s.kind, day)] = self._merge_summaries(cur, s, day)
-                    report.hourly_rolled += 1
-                else:
-                    fresh.append(s)
-            report.daily_created = len(daily)
-            label_summaries = fresh + [daily[k] for k in sorted(daily)]
+            labels = list(self._label_summaries)
+            report.hourly_created = _merge_into(labels, [
+                self._summarize(label, kind, bucket_us, seqs)
+                for (label, kind, bucket_us), seqs in sorted(groups.items())], _merge_labels)
+            labels, report.hourly_rolled, report.daily_created = _roll_daily(
+                labels, warm_us, _merge_labels)
+            activities = list(self._activity_summaries)
+            _merge_into(activities, [
+                ActivitySummary(ev.subject, ev.name, "hourly", bucket_us, seconds, 1, ev.prob, ev.loc)
+                for ev in old_activities
+                for bucket_us, seconds in bucket_seconds(
+                    ts_to_micros(ev.start), ts_to_micros(ev.end), HOUR_US)], _merge_activities)
+            activities = _roll_daily(activities, warm_us, _merge_activities)[0]
+            summaries = dict(_label_summaries=labels, _activity_summaries=activities)
 
-            fresh_act: list[ActivitySummary] = []
-            daily_act: dict[tuple[str, str, int], ActivitySummary] = {}
-            for s in activity_summaries:
-                if s.tier == "hourly" and s.bucket_us < warm_us:
-                    day = s.bucket_us - s.bucket_us % DAY_US
-                    cur = daily_act.get((s.subject, s.name, day))
-                    if cur is None:
-                        daily_act[(s.subject, s.name, day)] = ActivitySummary(
-                            subject=s.subject, name=s.name, tier="daily", bucket_us=day,
-                            seconds=s.seconds, count=s.count, prob=s.prob, loc=s.loc)
-                    else:
-                        cur.seconds += s.seconds
-                        cur.count += s.count
-                        cur.prob = max(cur.prob, s.prob)
-                else:
-                    fresh_act.append(s)
-            summaries = dict(_label_summaries=label_summaries, _activity_summaries=(
-                fresh_act + [daily_act[k] for k in sorted(daily_act)]))
-
-            # check conservation before dropping raw records
-            migrated = report.detections_migrated
-            summarized = sum(len(d) for d in groups.values())
-            if migrated != summarized:
-                raise CorruptSegment("migration count mismatch")
-
-            if migrated or report.activities_migrated:
+            if report.detections_migrated or report.activities_migrated:
                 self._rewrite_segments(keep, keep_activities, _refine_cursor=bisect_left(
                     keep, self._refine_cursor), **summaries)
             else:
@@ -941,10 +930,9 @@ class Store:
         report.bytes_after = self._bytes_on_disk()
         return report
 
-    def _summarize(self, label: str, kind: str, bucket_us: int, tier: str,
-                   seqs: list[int]) -> LabelSummary:
-        """Fuse the given detections into one summary, reading their frames'
-        time and position straight off the columns."""
+    def _summarize(self, label: str, kind: str, bucket_us: int, seqs: list[int]) -> LabelSummary:
+        """Fuse the given detections into one hourly summary, reading their
+        frames' time and position straight off the columns."""
         frames, dets = self._frames, self._detections
         positions = [dets.position[seq] for seq in seqs]
         first_ts, first_frame = min((frames.ts_us[p], frames.frame_id[p]) for p in positions)
@@ -956,61 +944,11 @@ class Store:
             loc = obs if loc is None else fuse(loc, obs)
             miss *= (1.0 - dets.confidence[seq])
         return LabelSummary(
-            label=label, kind=kind, tier=tier, bucket_us=bucket_us, count=len(seqs),
+            label=label, kind=kind, tier="hourly", bucket_us=bucket_us, count=len(seqs),
             first_frame=first_frame, last_frame=last_frame,
             first_ts_us=first_ts, last_ts_us=last_ts,
             loc=loc, detect_prob=1.0 - miss,
         )
-
-    def _merge_summaries(self, cur: Optional[LabelSummary], s: LabelSummary,
-                         day_us: int) -> LabelSummary:
-        if cur is None:
-            return LabelSummary(
-                label=s.label, kind=s.kind, tier="daily", bucket_us=day_us,
-                count=s.count, first_frame=s.first_frame, last_frame=s.last_frame,
-                first_ts_us=s.first_ts_us, last_ts_us=s.last_ts_us,
-                loc=s.loc, detect_prob=s.detect_prob)
-        first_frame, first_ts = ((cur.first_frame, cur.first_ts_us)
-                                 if cur.first_ts_us <= s.first_ts_us
-                                 else (s.first_frame, s.first_ts_us))
-        last_frame, last_ts = ((cur.last_frame, cur.last_ts_us)
-                               if cur.last_ts_us >= s.last_ts_us
-                               else (s.last_frame, s.last_ts_us))
-        return LabelSummary(
-            label=s.label, kind=s.kind, tier="daily", bucket_us=day_us,
-            count=cur.count + s.count,
-            first_frame=first_frame, last_frame=last_frame,
-            first_ts_us=first_ts, last_ts_us=last_ts,
-            loc=fuse(cur.loc, s.loc),
-            detect_prob=1.0 - (1.0 - cur.detect_prob) * (1.0 - s.detect_prob),
-        )
-
-    def _summarize_activity(self, ev: ActivityEvent,
-                            hourly: dict[tuple[str, str, int], ActivitySummary],
-                            summaries: list[ActivitySummary]) -> None:
-        """Split one event's seconds across hourly buckets; `hourly` indexes
-        the hourly activity summaries by (subject, name, bucket_us), and a
-        new one is added to it and to `summaries`."""
-        start_us, end_us = ts_to_micros(ev.start), ts_to_micros(ev.end)
-        bucket = start_us - start_us % HOUR_US
-        while bucket <= end_us:
-            lo = max(start_us, bucket)
-            hi = min(end_us, bucket + HOUR_US)
-            secs = max(hi - lo, 0) / 1e6
-            if secs > 0 or start_us == end_us:
-                existing = hourly.get((ev.subject, ev.name, bucket))
-                if existing is None:
-                    s = hourly[(ev.subject, ev.name, bucket)] = ActivitySummary(
-                        subject=ev.subject, name=ev.name, tier="hourly",
-                        bucket_us=bucket, seconds=secs, count=1, prob=ev.prob, loc=ev.loc)
-                    summaries.append(s)
-                else:
-                    existing.seconds += secs
-                    existing.count += 1
-                    existing.prob = max(existing.prob, ev.prob)
-                    if existing.loc is None:
-                        existing.loc = ev.loc
-            bucket += HOUR_US
 
     def _rewrite_segments(self, keep: list[int], activities: list[ActivityEvent], **new) -> None:
         """Write the store afresh as blocks of frames, then the kept
@@ -1056,6 +994,66 @@ def _split(counts: tuple[int, int, int], k: int) -> tuple[int, int, int]:
     frames = min(k, counts[0])
     detections = min(k - frames, counts[1])
     return frames, detections, k - frames - detections
+
+
+def bucket_seconds(start_us: int, end_us: int, width_us: int) -> Iterator[tuple[int, float]]:
+    """The seconds of the interval [start_us, end_us] in each bucket of
+    width_us that it meets, as (bucket start, seconds); an instant is one
+    piece of 0 seconds."""
+    bucket_us = start_us - start_us % width_us
+    while bucket_us <= end_us:
+        seconds = (min(end_us, bucket_us + width_us) - max(start_us, bucket_us)) / 1e6
+        if seconds > 0 or start_us == end_us:
+            yield bucket_us, seconds
+        bucket_us += width_us
+
+
+def _merge_labels(a: LabelSummary, b: LabelSummary) -> LabelSummary:
+    """The sightings of both rows as one row of a's key: counts add,
+    locations fuse, first and last widen, detect probabilities noisy-OR."""
+    first_ts, first_frame = min((a.first_ts_us, a.first_frame), (b.first_ts_us, b.first_frame))
+    last_ts, last_frame = max((a.last_ts_us, a.last_frame), (b.last_ts_us, b.last_frame))
+    return replace(a, count=a.count + b.count, first_frame=first_frame, last_frame=last_frame,
+                   first_ts_us=first_ts, last_ts_us=last_ts, loc=fuse(a.loc, b.loc),
+                   detect_prob=1.0 - (1.0 - a.detect_prob) * (1.0 - b.detect_prob))
+
+
+def _merge_activities(a: ActivitySummary, b: ActivitySummary) -> ActivitySummary:
+    """Both rows as one row of a's key: seconds and counts add, the larger
+    probability, the first location that is not None."""
+    return replace(a, seconds=a.seconds + b.seconds, count=a.count + b.count,
+                   prob=max(a.prob, b.prob), loc=a.loc if a.loc is not None else b.loc)
+
+
+def _merge_into(rows: list, new: Iterable, merge) -> int:
+    """Merge each new row, in order, into the row of `rows` with its key, or
+    append it; return how many rows were appended."""
+    at: dict = {}
+    for i, s in enumerate(rows):
+        at.setdefault(s.key, i)
+    held = len(rows)
+    for s in new:
+        i = at.get(s.key)
+        if i is None:
+            at[s.key] = len(rows)
+            rows.append(s)
+        else:
+            rows[i] = merge(rows[i], s)
+    return len(rows) - held
+
+
+def _roll_daily(rows: list, warm_us: int, merge) -> tuple[list, int, int]:
+    """Merge the hourly rows older than warm_us, per key and day, into the
+    daily row of that day. Return the rows, how many hourly rows rolled and
+    how many daily rows were added (in key order)."""
+    kept, rolled = [], []
+    for s in rows:
+        if s.tier == "hourly" and s.bucket_us < warm_us:
+            rolled.append(replace(s, tier="daily", bucket_us=s.bucket_us - s.bucket_us % DAY_US))
+        else:
+            kept.append(s)
+    rolled.sort(key=attrgetter("key"))  # stable: a day's hours merge in row order
+    return kept, len(rolled), _merge_into(kept, rolled, merge)
 
 
 def _move_spans(spans: list[tuple[int, int, int]], old: Optional[Track], new: Track,

@@ -6,10 +6,12 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
+import zlib
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import robomem
 
@@ -499,6 +501,28 @@ def test_damaged_block_is_corruption(tmp_path):
         with open(path, "wb") as fh:
             fh.write(block)
     Store.open(s.root, mode="ro").close()
+
+
+def test_log_walk_ends_at_an_unknown_detection_kind():
+    """A detection record whose kind byte is neither object (0) nor person
+    (1) ends the walk of a log like any record that does not decode, even
+    with a valid CRC, and with or without columns to take the detections."""
+    frame = encode_record(FrameMeta(0, T0, Pose(1.0, 1.0)))
+    sighting = encode_record(Detection(0, "cup", "person", 0.5))
+    body = bytearray(sighting[:-4])
+    body[3 + 4] = 2  # the kind byte: after the tag and length (3) and the frame id (4)
+    bad = bytes(body) + zlib.crc32(body).to_bytes(4, "little")
+    log = frame + sighting + bad + sighting
+    with pytest.raises(CorruptSegment):
+        decode_payload(bad[0], bad[3:-4])
+    records, good = scan_segment(log)
+    assert good == len(frame + sighting)
+    assert records[1:] == [Detection(0, "cup", "person", 0.5)]
+    frames = FrameColumns()
+    dets = DetectionColumns(frames)
+    records, good = scan_segment(log, frames, dets)
+    assert (records, good) == ([], len(frame + sighting))
+    assert [dets.detection(seq) for seq in range(len(dets))] == [Detection(0, "cup", "person", 0.5)]
 
 
 def _records_by_type(records):
@@ -1159,6 +1183,129 @@ def test_daily_rollup(store):
     assert all(s.tier == "daily" for s in summaries)
     assert len(summaries) == 2
     assert sum(s.count for s in summaries) == 15
+
+
+def _rows(store):
+    """The tier summary rows of each key, as (count, first, last, detect prob)."""
+    rows = {}
+    for s in store.label_summaries():
+        rows.setdefault((s.label, s.kind, s.tier, s.bucket_us), []).append(
+            (s.count, (s.first_ts_us, s.first_frame), (s.last_ts_us, s.last_frame), s.detect_prob))
+    return rows
+
+
+def test_an_hour_cut_by_two_migrations_is_one_row(store):
+    """Two migrations whose hot cutoffs fall in the same hour leave one
+    hourly row for it, and PRESENT reads that row's first and last frame."""
+    for f in range(60):
+        store.append(FrameMeta(f, T0 + f * timedelta(minutes=1), Pose(1.0, 1.0)))
+        store.append(Detection(f, "cup", "object", 0.8))
+    store.flush()
+    policy = TierPolicy(hot_window=timedelta(days=7))
+    first = store.migrate_tiers(T0 + timedelta(days=7, minutes=20), policy)
+    second = store.migrate_tiers(T0 + timedelta(days=7, minutes=50), policy)
+    assert (first.hourly_created, second.hourly_created) == (1, 0)
+    assert (first.detections_migrated, second.detections_migrated) == (20, 30)
+    [row] = store.label_summaries("cup")
+    assert (row.tier, row.bucket_us, row.count) == ("hourly", ts_to_micros(T0), 50)
+    assert (row.first_frame, row.last_frame) == (0, 49)
+    assert row.detect_prob == pytest.approx(1.0 - 0.2 ** 50)
+    ans = run_query(f'PRESENT object="cup" FROM {T0.isoformat()} '
+                    f'TO {(T0 + timedelta(minutes=59)).isoformat()}', store)
+    assert ans.supporting_frames == (0, *range(49, 60))
+    reopened = Store.open(store.root, mode="ro")
+    assert reopened.label_summaries() == store.label_summaries()
+    reopened.close()
+
+
+def test_a_day_cut_by_two_warm_cutoffs_is_one_row(store):
+    """Two migrations whose warm cutoffs fall in the same day roll its hours
+    into one daily row."""
+    for f in range(24):
+        store.append(FrameMeta(f, T0 + f * timedelta(hours=1), Pose(1.0, 1.0)))
+        store.append(Detection(f, "cup", "object", 0.5))
+    store.flush()
+    policy = TierPolicy(hot_window=timedelta(days=7), warm_window=timedelta(days=90))
+    first = store.migrate_tiers(T0 + timedelta(days=90, hours=10), policy)
+    second = store.migrate_tiers(T0 + timedelta(days=90, hours=20), policy)
+    assert (first.hourly_rolled, first.daily_created) == (10, 1)
+    assert (second.hourly_rolled, second.daily_created) == (10, 0)
+    daily = [s for s in store.label_summaries("cup") if s.tier == "daily"]
+    assert [(s.bucket_us, s.count, s.first_frame, s.last_frame) for s in daily] == [
+        (ts_to_micros(T0), 20, 0, 19)]
+    assert sorted(s.count for s in store.label_summaries("cup") if s.tier == "hourly") == [1] * 4
+
+
+def test_daily_activity_row_keeps_a_later_location(store):
+    """A day whose first activity hour has no location takes the location of
+    a later hour, and WHERE_MOST over that day answers its cell."""
+    spot = LocationEstimate(mean=(3.5, 4.5), cov=((0.25, 0.0), (0.0, 0.25)))
+    store.append(ActivityEvent("dad", "sleep", T0 + timedelta(hours=1),
+                               T0 + timedelta(hours=1, minutes=10)))
+    store.append(ActivityEvent("dad", "sleep", T0 + timedelta(hours=3),
+                               T0 + timedelta(hours=3, minutes=50), loc=spot))
+    store.flush()
+    report = store.migrate_tiers(T0 + timedelta(days=200), TierPolicy())
+    assert report.activities_migrated == 2
+    [row] = store.activity_summaries()
+    assert (row.tier, row.seconds, row.count, row.loc) == ("daily", 3600.0, 2, spot)
+    ans = run_query(f'WHERE_MOST activity="sleep" subject="dad" FROM {T0.isoformat()} '
+                    f'TO {(T0 + timedelta(days=1)).isoformat()}', store)
+    assert (ans.cell, ans.seconds, ans.coarse) == ((3, 4), 3600.0, True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.lists(st.tuples(
+        st.integers(0, 90),  # minutes since the previous frame
+        st.lists(st.tuples(st.sampled_from(["cup", "max"]), st.sampled_from(["object", "person"]),
+                           st.sampled_from([0.3, 0.8, 1.0])), max_size=2)),
+        min_size=1, max_size=40),
+    cut=st.integers(0, 1000),   # where in the feed the first hot cutoff falls, in 1/1000ths
+    later=st.integers(0, 240),  # minutes from the first migration to the second
+)
+@example(steps=[(20 * (f > 0), [("cup", "object", 0.8)]) for f in range(6)],
+         cut=300, later=20)  # hot cutoffs at 0:30 and 0:50 split the first hour
+def test_two_migrations_fold_each_bucket_once(steps, cut, later):
+    """After two migrations, each (label, kind, tier, bucket) has one row,
+    equal to a direct fold of the raw sightings it holds: those older than
+    the last hot cutoff, in the hour of their frame, or in its day if that
+    hour is older than the last warm cutoff."""
+    policy = TierPolicy(hot_window=timedelta(hours=1), warm_window=timedelta(hours=3))
+    span = timedelta(minutes=sum(gap for gap, _sightings in steps))
+    first = T0 + span * cut / 1000 + policy.hot_window
+    nows = (first, first + timedelta(minutes=later))
+    hot_us = ts_to_micros(nows[-1] - policy.hot_window)
+    warm_us = ts_to_micros(nows[-1] - policy.warm_window)
+    want: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Store.create(os.path.join(tmp, "s"))
+        ts = T0
+        for f, (gap, sightings) in enumerate(steps):
+            ts += timedelta(minutes=gap)
+            store.append(FrameMeta(f, ts, Pose(1.0, 2.0)))
+            for label, kind, conf in sightings:
+                store.append(Detection(f, label, kind, conf))
+                ts_us = ts_to_micros(ts)
+                if ts_us >= hot_us:
+                    continue
+                tier, bucket = "hourly", ts_us - ts_us % 3_600_000_000
+                if bucket < warm_us:
+                    tier, bucket = "daily", bucket - bucket % 86_400_000_000
+                count, first, last, miss = want.get((label, kind, tier, bucket),
+                                                    (0, (ts_us, f), (ts_us, f), 1.0))
+                want[(label, kind, tier, bucket)] = (
+                    count + 1, min(first, (ts_us, f)), max(last, (ts_us, f)), miss * (1.0 - conf))
+        store.flush()
+        for at in nows:
+            store.migrate_tiers(at, policy)
+        got = _rows(store)
+        assert got.keys() == want.keys()
+        for key, (count, first, last, miss) in want.items():
+            [(got_count, got_first, got_last, prob)] = got[key]
+            assert (got_count, got_first, got_last) == (count, first, last)
+            assert prob == pytest.approx(1.0 - miss, abs=1e-9)
+        store.close()
 
 
 def test_latest_sighting_after_partial_migration(store):

@@ -55,7 +55,8 @@ def _now_arg(text: str) -> datetime:
 
 
 def resolve_relative(text: str, now: datetime) -> str:
-    """Expand relative time words into absolute FROM/TO ranges."""
+    """Expand relative time words into absolute FROM/TO ranges; a quoted
+    string is left as it is."""
     def rng(start: datetime, end: datetime) -> str:
         return f"FROM {ts_format(start)} TO {ts_format(end)}"
 
@@ -68,9 +69,8 @@ def resolve_relative(text: str, now: datetime) -> str:
         "PAST_WEEK": rng(now - timedelta(days=7), now),
         "PAST_MONTH": rng(now - timedelta(days=30), now),
     }
-    for word, repl in subs.items():
-        text = re.sub(rf"\b{word}\b", repl, text)
-    return text
+    words = "|".join(subs)
+    return re.sub(rf'"[^"]*"|\b(?:{words})\b', lambda m: subs.get(m[0], m[0]), text)
 
 
 class UsageError(RoboMemError):

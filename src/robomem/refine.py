@@ -10,8 +10,11 @@ association gap of its last one, so a longer absence starts a new track.
 
 A pass costs what its detections touch, not what the store holds: each
 detection is offered only the same-(label, kind) tracks last seen within
-the association gap before it, found by bisecting a per-(label, kind) list
-sorted by last sighting, and only tracks that changed are rebuilt.
+the association gap before it, found by bisecting the track index
+(index_tracks), and only tracks that changed are rebuilt. The store keeps
+that index; the pass updates a copy of it as it goes and hands it back
+with the tracks, and the store's track_for answers from it
+(track_containing).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from operator import itemgetter
 from typing import Optional
 
 from .errors import InvalidRecord, NonSPDCovariance
@@ -133,10 +137,10 @@ class _OpenTrack:
 
 
 def associate(d: Detection, fm: FrameMeta, open_tracks: list[_OpenTrack],
-              policy: RefinePolicy, next_track_id: int) -> tuple[int, Optional[_OpenTrack], float]:
+              policy: RefinePolicy, next_track_id: int) -> tuple[int, Optional[_OpenTrack]]:
     """Pick the track a detection belongs to.
 
-    Returns (track_id, matched_track_or_None, distance). Candidates must share
+    Returns (track_id, matched_track_or_None). Candidates must share
     the label and kind, have been seen within assoc_max_gap_s, and gate in by
     Mahalanobis distance; ties break on (distance, track_id).
     """
@@ -154,8 +158,8 @@ def associate(d: Detection, fm: FrameMeta, open_tracks: list[_OpenTrack],
         if best is None or (dist, t.track_id) < (best[0], best[1]):
             best = (dist, t.track_id, t)
     if best is None:
-        return next_track_id, None, math.inf
-    return best[1], best[2], best[0]
+        return next_track_id, None
+    return best[1], best[2]
 
 
 def _absorb(t: _OpenTrack, d: Detection, fm: FrameMeta, policy: RefinePolicy,
@@ -169,6 +173,43 @@ def _absorb(t: _OpenTrack, d: Detection, fm: FrameMeta, policy: RefinePolicy,
     report.observations_fused += 1
 
 
+# (label, kind) -> [(last_seen, last_frame, track_id, position)], sorted
+TrackIndex = dict[tuple[str, str], list[tuple[datetime, int, int, int]]]
+
+_LAST_FRAME = itemgetter(1)
+
+
+def index_tracks(tracks: list[Track]) -> TrackIndex:
+    """The tracks' index: per (label, kind), one entry per track, sorted.
+
+    Invariant: a track's last_seen is the timestamp of its last_frame, and
+    frame ids rise while timestamps never fall, so entries sorted by last
+    sighting are sorted by last frame too."""
+    index: TrackIndex = {}
+    for pos, t in enumerate(tracks):
+        index.setdefault((t.label, t.kind), []).append((t.last_seen, t.last_frame, t.track_id, pos))
+    for entries in index.values():
+        entries.sort()
+    return index
+
+
+def track_containing(index: TrackIndex, tracks: list[Track], label: str, kind: str,
+                     frame_id: int) -> Optional[Track]:
+    """The (label, kind) track whose presence span includes this frame; the
+    first such track in track order when spans of several overlap.
+
+    Bisects the index for the tracks whose last frame is at or after the
+    frame and walks them, so it costs the number of those tracks: for a
+    label's latest sighting, the tracks that end there."""
+    entries = index.get((label, kind), ())
+    best = -1
+    for i in range(bisect_left(entries, frame_id, key=_LAST_FRAME), len(entries)):
+        pos = entries[i][3]
+        if tracks[pos].first_frame <= frame_id and (best < 0 or pos < best):
+            best = pos
+    return tracks[best] if best >= 0 else None
+
+
 def run_refinement_pass(store, policy: RefinePolicy = RefinePolicy()) -> RefinementReport:
     """Attribute every not-yet-processed detection to a track and persist.
 
@@ -179,7 +220,10 @@ def run_refinement_pass(store, policy: RefinePolicy = RefinePolicy()) -> Refinem
     sighting lies in [ts - assoc_max_gap_s, ts], widened by 1 us on each side
     so the window is a superset of what associate's gate admits. The window
     is a query, not a retirement rule: a reprocessed detection for an old
-    frame still finds the tracks that were live at that time.
+    frame still finds the tracks that were live at that time. The windows
+    are read off the store's track index, whose copy the pass keeps current
+    and saves with the tracks; a pass that fails leaves the store's as it
+    was.
     """
     policy.validate()
     report = RefinementReport()
@@ -187,16 +231,11 @@ def run_refinement_pass(store, policy: RefinePolicy = RefinePolicy()) -> Refinem
     cursor = state["cursor"]
     next_id = state["next_track_id"]
     tracks: list[Optional[Track]] = state["tracks"]  # by position; new ones filled in last
+    index: TrackIndex = state["index"]
     pending = store.detections_from(cursor)
     if not pending:
         return report
 
-    # (label, kind) -> [(last_ts, track_id, position)] sorted by last sighting
-    windows: dict[tuple[str, str], list[tuple[datetime, int, int]]] = {}
-    for pos, t in enumerate(tracks):
-        windows.setdefault((t.label, t.kind), []).append((t.last_seen, t.track_id, pos))
-    for entries in windows.values():
-        entries.sort()
     opened: dict[int, _OpenTrack] = {}  # position -> working state, built on demand
     touched: set[int] = set()
     first_new = len(tracks)
@@ -211,11 +250,11 @@ def run_refinement_pass(store, policy: RefinePolicy = RefinePolicy()) -> Refinem
     with store.writer_role("refine"):
         for seq, det in pending:
             fm = store.frame_by_id(det.frame_id)
-            entries = windows.setdefault((det.label, det.kind), [])
+            entries = index.setdefault((det.label, det.kind), [])
             lo = bisect_left(entries, (fm.ts - gap,))
             hi = bisect_left(entries, (fm.ts + tick,))
-            window = [candidate(pos) for _ts, _tid, pos in entries[lo:hi]]
-            tid, match, _dist = associate(det, fm, window, policy, next_id)
+            window = [candidate(e[3]) for e in entries[lo:hi]]
+            tid, match = associate(det, fm, window, policy, next_id)
             if match is None:
                 pos = len(tracks)
                 tracks.append(None)
@@ -226,14 +265,14 @@ def run_refinement_pass(store, policy: RefinePolicy = RefinePolicy()) -> Refinem
                     first_seen=fm.ts, last_ts=fm.ts,
                     first_frame=fm.frame_id, last_frame=fm.frame_id,
                 )
-                insort(entries, (fm.ts, tid, pos))
+                insort(entries, (fm.ts, fm.frame_id, tid, pos))
                 next_id += 1
                 report.tracks_created += 1
             else:
-                i = bisect_left(entries, (match.last_ts, match.track_id))
-                pos = entries.pop(i)[2]
+                i = bisect_left(entries, (match.last_ts, match.last_frame, match.track_id))
+                pos = entries.pop(i)[3]
                 _absorb(match, det, fm, policy, report)
-                insort(entries, (match.last_ts, match.track_id, pos))
+                insort(entries, (match.last_ts, match.last_frame, match.track_id, pos))
                 if pos not in touched:
                     report.tracks_updated += 1
                     touched.add(pos)
@@ -245,6 +284,7 @@ def run_refinement_pass(store, policy: RefinePolicy = RefinePolicy()) -> Refinem
             "cursor": cursor,
             "next_track_id": next_id,
             "tracks": tracks,
+            "index": index,
         })
     return report
 

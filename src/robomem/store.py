@@ -67,6 +67,10 @@ written:
     tracks            Track objects. Open reads the manifest's .tracks file,
                       so a snapshot matches its segments, but decodes its
                       rows on first use.
+    track index       refine.index_tracks of the tracks, per (label, kind)
+                      sorted by last sighting, built on first use. A
+                      refinement pass updates a copy of it and saves it with
+                      the tracks; track_for bisects it.
 
 Appends buffer in memory and become durable at flush(); a crash before flush
 loses only unflushed records. Readers load a consistent snapshot at open and
@@ -79,12 +83,12 @@ import fcntl
 import heapq
 import json
 import os
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
-from itertools import accumulate, islice
-from operator import attrgetter, itemgetter
+from itertools import islice
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from . import segment as segcodec
@@ -108,15 +112,13 @@ from .model import (
     ts_to_micros,
     validate_record,
 )
-from .refine import fuse, observation_at
+from .refine import TrackIndex, fuse, index_tracks, observation_at, track_containing
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 DEFAULT_SEGMENT_RECORDS = 8192
 
 HOUR_US = 3_600_000_000
 DAY_US = 24 * HOUR_US
-
-_FIRST = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,6 @@ class ActivitySummary(_TierRow):
     tier: str
     bucket_us: int
     seconds: float
-    count: int
     prob: float
     loc: Optional[LocationEstimate] = None
 
@@ -306,8 +307,7 @@ class Store:
         self._track_rows: Optional[list] = None  # the .tracks file's rows until first decoded
         self._tracks_file: Optional[str] = None  # the committed .tracks file's name
         self._refine_changed = False            # the .tracks file is behind the state
-        # (label, kind) -> spans of its tracks, built on demand (_track_spans_of)
-        self._track_spans: dict[tuple[str, str], tuple[list[tuple[int, int, int]], list[int]]] = {}
+        self._track_index: Optional[TrackIndex] = None  # built on first use (_index)
 
         self._lock_fd: Optional[int] = None
         self._active_role: Optional[str] = None
@@ -785,46 +785,29 @@ class Store:
     # ------------------------------------------------------------ refinement
 
     def load_refine_state(self) -> dict:
+        """The refinement state: the cursor, the next track id, and copies of
+        the track list and of its index (refine.index_tracks)."""
         return {
             "cursor": self._refine_cursor,
             "next_track_id": self._next_track_id,
             "tracks": self.tracks(),
+            "index": {key: list(entries) for key, entries in self._index().items()},
         }
 
     def save_refine_state(self, state: dict) -> None:
         """Replace the refinement state; it becomes durable at the next flush.
 
-        A track that is the very object held at its position is unchanged.
-        The spans track_for has built move with the changed tracks when
-        tracks only change in place or are appended, as a refinement pass
-        does; any other change drops them.
-        """
+        The state's index, which must be index_tracks of its tracks, is
+        adopted as it is; a state without one gets one built when next
+        needed."""
         if self.mode != "rw":
             raise ReadOnlyStore("store opened read-only")
-        tracks = list(state["tracks"])
-        held = self.tracks()
-        spans = self._track_spans
-        keep_spans = len(tracks) >= len(held)
-        moved = set()
-        for i, t in enumerate(tracks):
-            old = held[i] if i < len(held) else None
-            if old is t:
-                continue
-            key = (t.label, t.kind)
-            if old is not None and (old.label, old.kind) != key:
-                keep_spans = False
-            elif keep_spans and key in spans:
-                _move_spans(spans[key][0], old, t, i)
-                moved.add(key)
         self._refine_cursor = state["cursor"]
         self._next_track_id = state["next_track_id"]
-        self._tracks = tracks
+        self._tracks = list(state["tracks"])
+        self._track_rows = None
+        self._track_index = state.get("index")
         self._refine_changed = True
-        if keep_spans:
-            for key in moved:
-                spans[key] = (spans[key][0], _reach(spans[key][0]))
-        else:
-            self._track_spans = {}
 
     def tracks(self) -> list[Track]:
         """A copy of the track list; the rows read at open are decoded on first use."""
@@ -833,31 +816,16 @@ class Store:
             self._track_rows = None
         return list(self._tracks)
 
+    def _index(self) -> TrackIndex:
+        if self._track_index is None:
+            self._track_index = index_tracks(self.tracks())
+        return self._track_index
+
     def track_for(self, label: str, kind: str, frame_id: int) -> Optional[Track]:
         """The (label, kind) track whose presence span includes this sighting
-        frame; the first such track in track order when spans of several overlap.
-
-        Bisects the (label, kind) spans for those starting at or before the
-        frame and walks them back only while one of them can still reach it."""
-        spans, reach = self._track_spans_of((label, kind))
-        best = -1
-        i = bisect_right(spans, frame_id, key=_FIRST) - 1
-        while i >= 0 and reach[i] >= frame_id:
-            _first, last, pos = spans[i]
-            if last >= frame_id and (best < 0 or pos < best):
-                best = pos
-            i -= 1
-        return self._tracks[best] if best >= 0 else None
-
-    def _track_spans_of(self, key: tuple[str, str]) -> tuple[list[tuple[int, int, int]], list[int]]:
-        """The (label, kind) track spans as (first frame, last frame, track
-        position), sorted, and the running maximum of their last frames."""
-        out = self._track_spans.get(key)
-        if out is None:
-            spans = sorted((t.first_frame, t.last_frame, pos)
-                           for pos, t in enumerate(self.tracks()) if (t.label, t.kind) == key)
-            out = self._track_spans[key] = (spans, _reach(spans))
-        return out
+        frame; the first such track in track order when spans of several
+        overlap (refine.track_containing)."""
+        return track_containing(self._index(), self._tracks, label, kind, frame_id)
 
     # ------------------------------------------------------------- migration
 
@@ -915,7 +883,7 @@ class Store:
                 labels, warm_us, _merge_labels)
             activities = list(self._activity_summaries)
             _merge_into(activities, [
-                ActivitySummary(ev.subject, ev.name, "hourly", bucket_us, seconds, 1, ev.prob, ev.loc)
+                ActivitySummary(ev.subject, ev.name, "hourly", bucket_us, seconds, ev.prob, ev.loc)
                 for ev in old_activities
                 for bucket_us, seconds in bucket_seconds(
                     ts_to_micros(ev.start), ts_to_micros(ev.end), HOUR_US)], _merge_activities)
@@ -1019,10 +987,10 @@ def _merge_labels(a: LabelSummary, b: LabelSummary) -> LabelSummary:
 
 
 def _merge_activities(a: ActivitySummary, b: ActivitySummary) -> ActivitySummary:
-    """Both rows as one row of a's key: seconds and counts add, the larger
-    probability, the first location that is not None."""
-    return replace(a, seconds=a.seconds + b.seconds, count=a.count + b.count,
-                   prob=max(a.prob, b.prob), loc=a.loc if a.loc is not None else b.loc)
+    """Both rows as one row of a's key: seconds add, the larger probability,
+    the first location that is not None."""
+    return replace(a, seconds=a.seconds + b.seconds, prob=max(a.prob, b.prob),
+                   loc=a.loc if a.loc is not None else b.loc)
 
 
 def _merge_into(rows: list, new: Iterable, merge) -> int:
@@ -1054,20 +1022,6 @@ def _roll_daily(rows: list, warm_us: int, merge) -> tuple[list, int, int]:
             kept.append(s)
     rolled.sort(key=attrgetter("key"))  # stable: a day's hours merge in row order
     return kept, len(rolled), _merge_into(kept, rolled, merge)
-
-
-def _move_spans(spans: list[tuple[int, int, int]], old: Optional[Track], new: Track,
-                pos: int) -> None:
-    """Replace, in a label's sorted spans, the span of the track at `pos`
-    (None if it is new) by that of its new version."""
-    if old is not None:
-        del spans[bisect_left(spans, (old.first_frame, old.last_frame, pos))]
-    insort(spans, (new.first_frame, new.last_frame, pos))
-
-
-def _reach(spans: list[tuple[int, int, int]]) -> list[int]:
-    """Running maximum of the spans' last frames."""
-    return list(accumulate((last for _first, last, _pos in spans), max))
 
 
 # ---------------------------------------------------------------------------
@@ -1112,11 +1066,11 @@ def _label_summary_from_row(row: list) -> LabelSummary:
 
 
 def _activity_summary_row(s: ActivitySummary) -> list:
-    """[subject, name, tier, bucket_us, seconds, count, prob, *loc], the
-    location left out when there is none"""
-    return [s.subject, s.name, s.tier, s.bucket_us, s.seconds, s.count, s.prob,
+    """[subject, name, tier, bucket_us, seconds, prob, *loc], the location
+    left out when there is none"""
+    return [s.subject, s.name, s.tier, s.bucket_us, s.seconds, s.prob,
             *(_loc_row(s.loc) if s.loc is not None else ())]
 
 
 def _activity_summary_from_row(row: list) -> ActivitySummary:
-    return ActivitySummary(*row[:7], _loc_from_row(*row[7:]) if len(row) > 7 else None)
+    return ActivitySummary(*row[:6], _loc_from_row(*row[6:]) if len(row) > 6 else None)

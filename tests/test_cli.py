@@ -186,6 +186,14 @@ def test_relative_words_resolved():
                    'TO 2019-06-08T00:00:00Z')
 
 
+def test_relative_words_inside_quotes_kept():
+    now = ts_parse("2020-01-02T12:00:00Z")
+    out = resolve_relative('DID activity="TODAY" subject="dad" PAST_DAY', now)
+    assert out == ('DID activity="TODAY" subject="dad" FROM 2020-01-01T12:00:00Z '
+                   'TO 2020-01-02T12:00:00Z')
+    assert resolve_relative('PRESENT object="PAST_HOUR mug"', now) == 'PRESENT object="PAST_HOUR mug"'
+
+
 def test_relative_query_end_to_end(loaded, capsys):
     store, _feed = loaded
     # scenario starts 2019-06-01T00:00Z; PAST_DAY from noon 06-01 covers it

@@ -5,6 +5,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, strategies as st
 
+from robomem import refine
 from robomem.errors import NonSPDCovariance
 from robomem.ingest import ingest_stream
 from robomem.model import (
@@ -13,6 +14,7 @@ from robomem.model import (
     FrameMeta,
     LocationEstimate,
     Pose,
+    TimeRange,
     Track,
     mat2_eigvals,
     ts_parse,
@@ -22,9 +24,11 @@ from robomem.refine import (
     RefinePolicy,
     existence_probability,
     fuse,
+    index_tracks,
     observation_from_detection,
     run_refinement_pass,
 )
+from robomem.reprocess import run_reprocess, select_frames
 from robomem.store import Store
 
 from oracle import brute_tracks, canonicalize, feed_state
@@ -396,23 +400,82 @@ def _assert_track_for_matches_scan(store, records):
     return len(sightings)
 
 
-def test_track_for_matches_scan_across_passes_and_reopen(tmp_path):
+def _assert_index_current(store):
+    assert store.load_refine_state()["index"] == index_tracks(store.tracks())
+
+
+def _scenario_halves(seed=4):
     from conftest import small_scenario
     from robomem.scenario import generate_scenario
-    _gt, records = generate_scenario(small_scenario(seed=4, minutes=3.0, label_noise=0.1,
+    _gt, records = generate_scenario(small_scenario(seed=seed, minutes=3.0, label_noise=0.1,
                                                     detection_recall=0.6))
     frames = [r for r in records if isinstance(r, FrameMeta)]
-    cut = records.index(frames[len(frames) // 2])
+    return records, records.index(frames[len(frames) // 2]), frames
+
+
+def test_track_for_matches_scan_across_passes_and_reopen(tmp_path):
+    records, cut, frames = _scenario_halves()
     root = str(tmp_path / "s")
     s = Store.create(root)
     ingest_stream(iter(records[:cut]), s)
     run_refinement_pass(s)
+    _assert_index_current(s)
     assert _assert_track_for_matches_scan(s, records[:cut]) > 0
     ingest_stream(iter(records[cut:]), s)
     assert run_refinement_pass(s).observations_fused > 0
+    _assert_index_current(s)
     _assert_track_for_matches_scan(s, records)
+
+    # a reprocess sights, in each of the first frames, what the next frame
+    # held: old frames gain sightings, and its pass extends and starts
+    # tracks far behind the newest ones
+    early = {f.frame_id for f in frames[:len(frames) // 4]}
+    later = {}
+    for r in records:
+        if isinstance(r, Detection) and r.frame_id - 1 in early:
+            later.setdefault(r.frame_id - 1, []).append(r)
+    request = select_frames(s, None, TimeRange(frames[0].ts, frames[len(early) - 1].ts),
+                            budget=len(early))
+    fused = s.load_refine_state()["cursor"]
+    added = run_reprocess(s, request, lambda ids: [
+        Detection(f, d.label, d.kind, d.confidence) for f in ids for d in later.get(f, ())])
+    assert added.records_added > 0 and s.load_refine_state()["cursor"] > fused
+    _assert_index_current(s)
+    extra = [d for _seq, d in s.detections_from(fused)]
+    _assert_track_for_matches_scan(s, records + extra)
     s.close()
     s = Store.open(root, mode="ro")
+    _assert_index_current(s)
+    _assert_track_for_matches_scan(s, records + extra)
+    s.close()
+
+
+def test_failed_pass_leaves_index_and_track_for_as_they_were(tmp_path, monkeypatch):
+    records, cut, _frames = _scenario_halves(seed=5)
+    s = Store.create(str(tmp_path / "s"))
+    ingest_stream(iter(records[:cut]), s)
+    run_refinement_pass(s)
+    before = s.load_refine_state()
+    ingest_stream(iter(records[cut:]), s)
+
+    real, calls = refine.associate, []
+
+    def fail_at_k(*args):
+        calls.append(1)
+        if len(calls) == 40:
+            raise RuntimeError("associate failed")
+        return real(*args)
+
+    monkeypatch.setattr(refine, "associate", fail_at_k)
+    with pytest.raises(RuntimeError):
+        run_refinement_pass(s)
+    assert len(calls) == 40
+    assert s.load_refine_state() == before
+    _assert_track_for_matches_scan(s, records)  # answers from the tracks held before
+    monkeypatch.setattr(refine, "associate", real)
+    assert run_refinement_pass(s).observations_fused > 0
+    assert s.load_refine_state()["cursor"] == s.detection_count()
+    _assert_index_current(s)
     _assert_track_for_matches_scan(s, records)
     s.close()
 

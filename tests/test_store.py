@@ -143,13 +143,14 @@ def test_newer_version_refused(tmp_path, store):
     # a newer store is refused, and so is an older one: versions 1 and 2
     # with an old tracks.json, version 3 with its tier summaries and
     # coverage in summaries.json and coverage.json, version 4 with its
-    # refine state in tracks.json, and version 5 with every segment a
-    # record log; nothing converts them
+    # refine state in tracks.json, version 5 with every segment a record
+    # log, and version 6 with a count in each activity summary row; nothing
+    # converts them
     store.close()
     p = os.path.join(store.root, "manifest.json")
     with open(p) as fh:
         m = json.load(fh)
-    for version in (99, 1, 2, 3, 4, 5):
+    for version in (99, 1, 2, 3, 4, 5, 6):
         m["version"] = version
         with open(p, "w") as fh:
             json.dump(m, fh)
@@ -790,8 +791,22 @@ def test_refine_state_survives_reopen_exactly(populated):
     store.save_refine_state(state)
     store.flush()
     reopened = Store.open(store.root, mode="ro")
-    assert reopened.load_refine_state() == state
+    persisted = ("cursor", "next_track_id", "tracks")
+    assert {k: reopened.load_refine_state()[k] for k in persisted} == state
     assert reopened.tracks()[-1].loc.cov[1][0] == c01 + 1e-10 != c01
+    reopened.close()
+
+
+def test_saved_refine_state_replaces_undecoded_rows(populated):
+    """A state saved before the tracks read at open were decoded replaces
+    them: the rows are not decoded over it later."""
+    store, _gt, _records = populated
+    run_refinement_pass(store)
+    store.close()
+    reopened = Store.open(store.root)
+    reopened.save_refine_state({"cursor": 0, "next_track_id": 0, "tracks": []})
+    assert reopened.tracks() == [] and reopened.stats().tracks == 0
+    assert reopened.track_for(reopened.labels()[0], "object", 0) is None
     reopened.close()
 
 
@@ -1248,7 +1263,7 @@ def test_daily_activity_row_keeps_a_later_location(store):
     report = store.migrate_tiers(T0 + timedelta(days=200), TierPolicy())
     assert report.activities_migrated == 2
     [row] = store.activity_summaries()
-    assert (row.tier, row.seconds, row.count, row.loc) == ("daily", 3600.0, 2, spot)
+    assert (row.tier, row.seconds, row.loc) == ("daily", 3600.0, spot)
     ans = run_query(f'WHERE_MOST activity="sleep" subject="dad" FROM {T0.isoformat()} '
                     f'TO {(T0 + timedelta(days=1)).isoformat()}', store)
     assert (ans.cell, ans.seconds, ans.coarse) == ((3, 4), 3600.0, True)

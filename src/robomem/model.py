@@ -42,10 +42,12 @@ def ts_format(dt: datetime) -> str:
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 def ts_to_micros(dt: datetime) -> int:
-    return round((dt.astimezone(timezone.utc) - _EPOCH).total_seconds() * 1e6)
+    """Microseconds since the epoch of an aware datetime, exactly."""
+    return (dt - _EPOCH) // _MICROSECOND
 
 
 def ts_from_micros(us: int) -> datetime:

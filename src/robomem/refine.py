@@ -14,7 +14,8 @@ the association gap before it, found by bisecting the track index
 (index_tracks), and only tracks that changed are rebuilt. The store keeps
 that index; the pass updates a copy of it as it goes and hands it back
 with the tracks, and the store's track_for answers from it
-(track_containing).
+(track_containing). The pass hands the store the positions of the tracks
+it changed too, so a flush appends only their rows.
 """
 
 from __future__ import annotations
@@ -278,14 +279,15 @@ def run_refinement_pass(store, policy: RefinePolicy = RefinePolicy()) -> Refinem
                     touched.add(pos)
             cursor = seq + 1
 
-        for pos in touched.union(range(first_new, len(tracks))):
+        changed = touched.union(range(first_new, len(tracks)))
+        for pos in changed:
             tracks[pos] = opened[pos].to_track()
         store.save_refine_state({
             "cursor": cursor,
             "next_track_id": next_id,
             "tracks": tracks,
             "index": index,
-        })
+        }, changed)
     return report
 
 

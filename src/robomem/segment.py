@@ -7,7 +7,8 @@ sequence of framed records:
 
 Little-endian throughout. A torn tail (partial or checksum-failing record at
 the end of the log) is tolerated on open and truncated away; the same
-condition in any other segment means real corruption.
+condition in any other segment means real corruption. The store's
+refine-state log uses the same framing (frame_record, framed_records).
 
 The six-field frame record encodes in 51 bytes. Pose x/y keep full double
 precision (they feed location fusion); z/roll/pitch/yaw are stored as f32,
@@ -35,7 +36,7 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left, insort
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import CorruptSegment
 from .model import (
@@ -63,10 +64,27 @@ _LOC_BODY = struct.Struct("<5d")  # mean x, mean y, cov a, b, d (symmetric)
 _KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}  # as a detection record codes it
 
 
-def _frame(tag: int, payload: bytes) -> bytes:
+def frame_record(tag: int, payload: bytes) -> bytes:
+    """The framed record of a payload: tag, length, payload, CRC."""
     head = _HEADER.pack(tag, len(payload))
     body = head + payload
     return body + _CRC.pack(zlib.crc32(body))
+
+
+def framed_records(data: bytes) -> Iterator[tuple[int, bytes]]:
+    """The (tag, payload) of each framed record of data, which must be
+    whole CRC-clean records; raises CorruptSegment at the first that is not."""
+    off, n = 0, len(data)
+    while off < n:
+        if off + _HEADER.size + _CRC.size > n:
+            raise CorruptSegment(f"torn record at offset {off}")
+        tag, plen = _HEADER.unpack_from(data, off)
+        body_end = off + _HEADER.size + plen
+        if (body_end + _CRC.size > n
+                or zlib.crc32(data[off:body_end]) != _CRC.unpack_from(data, body_end)[0]):
+            raise CorruptSegment(f"bad record at offset {off}")
+        yield tag, data[off + _HEADER.size:body_end]
+        off = body_end + _CRC.size
 
 
 def encode_record(record: FeedRecord) -> bytes:
@@ -76,11 +94,11 @@ def encode_record(record: FeedRecord) -> bytes:
             record.frame_id, ts_to_micros(record.ts),
             p.x, p.y, p.z, p.roll, p.pitch, p.yaw,
         )
-        return _frame(TAG_FRAME, payload)
+        return frame_record(TAG_FRAME, payload)
     if isinstance(record, Detection):
         payload = _DET_BODY.pack(record.frame_id, _KIND_CODE[record.kind], record.confidence)
         payload += record.label.encode("utf-8")
-        return _frame(TAG_DETECTION, payload)
+        return frame_record(TAG_DETECTION, payload)
     if isinstance(record, ActivityEvent):
         subject = record.subject.encode("utf-8")
         name = record.name.encode("utf-8")
@@ -94,7 +112,7 @@ def encode_record(record: FeedRecord) -> bytes:
             m, c = record.loc.mean, record.loc.cov
             payload += _LOC_BODY.pack(m[0], m[1], c[0][0], c[0][1], c[1][1])
         payload += subject + name
-        return _frame(TAG_ACTIVITY, payload)
+        return frame_record(TAG_ACTIVITY, payload)
     raise TypeError(f"cannot encode {type(record).__name__}")
 
 

@@ -5,8 +5,9 @@ On-disk layout under the store root:
     manifest.json         the store's one commit record, written atomically
                           (tmp + rename): the names of the live segment
                           files, the committed length of the log, the
-                          name of the refine state's file (null before the
-                          first refinement), the warm (hourly) and cold
+                          name of the refine-state log (null before the
+                          first refinement) and its committed length, the
+                          warm (hourly) and cold
                           (daily) tier summaries as flat rows, and the
                           analyzed time as (subject, activity, from_us,
                           to_us) coverage rows. One rename publishes all of
@@ -27,14 +28,27 @@ On-disk layout under the store root:
                           committed length are appends no commit published:
                           open does not read them, and a read-write open
                           cuts them off.
-    segments/NNNN.tracks  refinement state: cursor, next track id and one
-                          flat row per track, [track_id, label, kind,
-                          mean_x, mean_y, c00, c01, c10, c11,
-                          observation_count, miss_prob, first_us, last_us,
-                          first_frame, last_frame], the last four its
-                          presence span. Written whole under a fresh number
-                          from the segments' counter, before the manifest
-                          that names it, and only when the state changed.
+    segments/NNNN.tracks  the refine-state log: framed records as in the
+                          log (segment.frame_record), each a track row or a
+                          state record. A track row is one track packed as
+                          binary: track id, kind, mean x and y, the four
+                          covariance entries, observation count, miss
+                          probability, first and last sighting (us and
+                          frame id, its presence span) and the label. A
+                          state record holds the cursor, the next track id,
+                          and how many tracks and rows the log holds up to
+                          it. The last row of a track id wins, and the
+                          tracks are in the order their ids first appear.
+                          A flush after a refinement that changed k tracks
+                          appends their k rows and a state record, and the
+                          manifest records the committed length, which ends
+                          in a state record; bytes past it are treated as
+                          the log's are. A migration, a state saved without
+                          a change set, or a log that would hold more than
+                          twice as many rows as tracks is instead written
+                          whole (compacted) to a fresh file under a new
+                          number from the segments' counter, before the
+                          manifest that names it.
     lock                  writer lock, held with flock by the writing process
 
 A file in segments/ that the manifest does not name is garbage: a commit
@@ -64,9 +78,9 @@ written:
     postings          per (label, kind), an array of seqs sorted by (frame
                       position, seq), held in the detection table
     activities        ActivityEvent objects in append order
-    tracks            Track objects. Open reads the manifest's .tracks file,
-                      so a snapshot matches its segments, but decodes its
-                      rows on first use.
+    tracks            Track objects. Open reads the manifest's .tracks log
+                      up to its committed length, so a snapshot matches its
+                      segments, but replays its rows on first use.
     track index       refine.index_tracks of the tracks, per (label, kind)
                       sorted by last sighting, built on first use. A
                       refinement pass updates a copy of it and saves it with
@@ -83,6 +97,7 @@ import fcntl
 import heapq
 import json
 import os
+import struct
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -93,6 +108,7 @@ from typing import Iterable, Iterator, Optional
 
 from . import segment as segcodec
 from .errors import (
+    CorruptSegment,
     InvalidRecord,
     MigrationConflict,
     ReadOnlyStore,
@@ -114,7 +130,7 @@ from .model import (
 )
 from .refine import TrackIndex, fuse, index_tracks, observation_at, track_containing
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 DEFAULT_SEGMENT_RECORDS = 8192
 
 HOUR_US = 3_600_000_000
@@ -258,6 +274,8 @@ class StoreStats:
     detections: int
     tracks: int
     bytes_per_frame: float
+    refine_state_bytes: int  # the committed length of the .tracks log
+    refine_log_rows: int     # track rows in it, which compaction brings down to `tracks`
 
 
 def _write_durable(path: str, data: bytes) -> None:
@@ -265,6 +283,24 @@ def _write_durable(path: str, data: bytes) -> None:
         fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
+
+
+def _append_durable(path: str, size: int, data: bytes) -> None:
+    """Cut the file at path (made if missing) to its first `size` bytes,
+    which drops what a failed flush appended past them, and append data."""
+    with open(path, "ab") as fh:
+        fh.truncate(size)
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def _cut(path: str, size: int) -> None:
+    """Cut a log to its committed length: drop a torn tail, or appends no
+    commit published."""
+    if os.path.getsize(path) != size:
+        with open(path, "r+b") as fh:
+            fh.truncate(size)
 
 
 def _json_bytes(obj) -> bytes:
@@ -304,9 +340,13 @@ class Store:
         self._refine_cursor = 0                 # detections refined so far
         self._next_track_id = 0
         self._tracks: list[Track] = []
-        self._track_rows: Optional[list] = None  # the .tracks file's rows until first decoded
-        self._tracks_file: Optional[str] = None  # the committed .tracks file's name
-        self._refine_changed = False            # the .tracks file is behind the state
+        self._track_log: Optional[bytes] = None  # the committed .tracks log until first replayed
+        self._tracks_file: Optional[str] = None  # the committed .tracks log's name
+        self._tracks_bytes = 0                   # its committed length
+        self._tracks_rows = 0                    # the track rows in it
+        # positions of the tracks changed since the last commit; None when
+        # the next commit must write the state whole
+        self._refine_changed: Optional[set[int]] = set()
         self._track_index: Optional[TrackIndex] = None  # built on first use (_index)
 
         self._lock_fd: Optional[int] = None
@@ -407,10 +447,8 @@ class Store:
                 path, tolerate_tail=is_log, frames=self._frames, detections=self._detections,
                 size=manifest["log_bytes"] if is_log else -1)
             if is_log:
-                if good != os.path.getsize(path) and self.mode == "rw":
-                    # drop a torn tail, or appends no commit published, once, up front
-                    with open(path, "r+b") as fh:
-                        fh.truncate(good)
+                if self.mode == "rw":
+                    _cut(path, good)
                 self._log_bytes = good
             self._activities.extend(records)  # the records left are activities
             if not is_log:
@@ -421,10 +459,14 @@ class Store:
         self._coverage = [tuple(c) for c in manifest["coverage"]]
         self._tracks_file = manifest["tracks"]
         if self._tracks_file is not None:
-            state = json.loads(_read_bytes(os.path.join(self.root, "segments", self._tracks_file)))
-            self._refine_cursor = state["cursor"]
-            self._next_track_id = state["next_track_id"]
-            self._track_rows = state["tracks"]
+            path = os.path.join(self.root, "segments", self._tracks_file)
+            self._tracks_bytes = manifest["tracks_bytes"]
+            with open(path, "rb") as fh:
+                log = fh.read(self._tracks_bytes)
+            self._refine_cursor, self._next_track_id, _n, self._tracks_rows = _refine_state(log)
+            if self.mode == "rw":
+                _cut(path, self._tracks_bytes)
+            self._track_log = log
 
     # ----------------------------------------------------------------- writes
 
@@ -504,23 +546,26 @@ class Store:
         a failed flush left past the log's durable length are cut first."""
         new = not self._has_log()
         name = self._new_name(".seg") if new else self._segments[-1]
-        with open(os.path.join(self.root, "segments", name), "ab") as fh:
-            fh.truncate(self._log_bytes)
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
+        _append_durable(os.path.join(self.root, "segments", name), self._log_bytes, data)
         if new:
             self._segments.append(name)
         self._log_bytes += len(data)
 
-    def _commit(self, **new) -> None:
+    def _commit(self, compact: bool = False, **new) -> None:
         """Publish the segments, the refine state, the tier summaries and the
         coverage with one manifest rename, then delete every file in
         segments/ that the manifest does not name.
 
-        A changed refine state is first written whole to a fresh .tracks
-        file. It needs no tmp file or rename: no reader opens it before the
-        manifest names it, and if the commit fails it is garbage.
+        A changed refine state first goes to the .tracks log: the rows of
+        the tracks changed since the last commit and a state record are
+        appended past its committed length, which the manifest then moves.
+        The state is instead written whole to a fresh .tracks file when
+        `compact` is set (a migration), when it was saved without a change
+        set, when there is no log yet, or when the log would hold more than
+        twice as many rows as tracks. Neither needs a tmp file or rename: no
+        reader reads past the committed length or opens a file before the
+        manifest names it, and if the commit fails the next one cuts the
+        appended rows off, or the fresh file is garbage.
 
         `new` maps store attributes to the values to publish in place of
         their own (a migration's segments, summaries, cursor and tables);
@@ -529,14 +574,21 @@ class Store:
         def state(name):
             return new[name] if name in new else getattr(self, name)
         cursor = state("_refine_cursor")
-        tracks_file = self._tracks_file
-        if self._refine_changed or cursor != self._refine_cursor:
-            tracks_file = self._new_name(".tracks")
-            _write_durable(os.path.join(self.root, "segments", tracks_file), _json_bytes({
-                "cursor": cursor,
-                "next_track_id": self._next_track_id,
-                "tracks": [_track_to_row(t) for t in self.tracks()],
-            }))
+        tracks_file, tracks_bytes, rows = self._tracks_file, self._tracks_bytes, self._tracks_rows
+        changed = self._refine_changed
+        if (changed is None or changed or cursor != self._refine_cursor
+                or compact and tracks_file is not None):
+            tracks = self.tracks()
+            if (changed is None or compact or tracks_file is None
+                    or rows + len(changed) > 2 * len(tracks)):
+                rows, changed = len(tracks), range(len(tracks))
+                tracks_file, tracks_bytes = self._new_name(".tracks"), 0
+            else:
+                rows += len(changed)
+            data = b"".join(_track_record(tracks[p]) for p in sorted(changed)) + _state_record(
+                cursor, self._next_track_id, len(tracks), rows)
+            _append_durable(os.path.join(self.root, "segments", tracks_file), tracks_bytes, data)
+            tracks_bytes += len(data)
         path = os.path.join(self.root, "manifest.json")
         _write_durable(path + ".tmp", _json_bytes({
             "version": FORMAT_VERSION,
@@ -545,6 +597,7 @@ class Store:
             "log_bytes": state("_log_bytes"),
             "next_segment_no": self._next_segment_no,
             "tracks": tracks_file,
+            "tracks_bytes": tracks_bytes,
             "labels": [_label_summary_row(s) for s in state("_label_summaries")],
             "activities": [_activity_summary_row(s) for s in state("_activity_summaries")],
             "coverage": self._coverage,
@@ -552,8 +605,8 @@ class Store:
         os.replace(path + ".tmp", path)
         for name, value in new.items():
             setattr(self, name, value)
-        self._tracks_file = tracks_file
-        self._refine_changed = False
+        self._tracks_file, self._tracks_bytes, self._tracks_rows = tracks_file, tracks_bytes, rows
+        self._refine_changed = set()
         self._sweep()
 
     def _new_name(self, suffix: str) -> str:
@@ -794,26 +847,38 @@ class Store:
             "index": {key: list(entries) for key, entries in self._index().items()},
         }
 
-    def save_refine_state(self, state: dict) -> None:
+    def save_refine_state(self, state: dict, changed: Optional[Iterable[int]] = None) -> None:
         """Replace the refinement state; it becomes durable at the next flush.
+
+        `changed` holds the positions of the tracks that differ from the
+        store's: updated in place, or appended with fresh track ids. The
+        next flush appends just their rows to the .tracks log. Without it,
+        the next flush writes the state whole, and its track ids must be
+        unique.
 
         The state's index, which must be index_tracks of its tracks, is
         adopted as it is; a state without one gets one built when next
         needed."""
         if self.mode != "rw":
             raise ReadOnlyStore("store opened read-only")
+        tracks = list(state["tracks"])
+        if changed is None and len({t.track_id for t in tracks}) != len(tracks):
+            raise ValueError("track ids must be unique")
         self._refine_cursor = state["cursor"]
         self._next_track_id = state["next_track_id"]
-        self._tracks = list(state["tracks"])
-        self._track_rows = None
+        self._tracks = tracks
+        self._track_log = None
         self._track_index = state.get("index")
-        self._refine_changed = True
+        if changed is None or self._refine_changed is None:
+            self._refine_changed = None
+        else:
+            self._refine_changed.update(changed)
 
     def tracks(self) -> list[Track]:
-        """A copy of the track list; the rows read at open are decoded on first use."""
-        if self._track_rows is not None:
-            self._tracks = [_track_from_row(r) for r in self._track_rows]
-            self._track_rows = None
+        """A copy of the track list; the log read at open is replayed on first use."""
+        if self._track_log is not None:
+            self._tracks = _replay_tracks(self._track_log)
+            self._track_log = None
         return list(self._tracks)
 
     def _index(self) -> TrackIndex:
@@ -934,8 +999,8 @@ class Store:
                 _split(counts, min(lo + self._segment_max, sum(counts)))))
             names.append(name)
         # its sweep deletes the old generation
-        self._commit(_segments=names, _log_bytes=0, _log_start=counts, _durable=counts,
-                     _detections=dets, _activities=activities, **new)
+        self._commit(compact=True, _segments=names, _log_bytes=0, _log_start=counts,
+                     _durable=counts, _detections=dets, _activities=activities, **new)
 
     # ------------------------------------------------------------------ stats
 
@@ -951,8 +1016,10 @@ class Store:
             bytes_on_disk=nbytes,
             frames=frames,
             detections=len(self._detections),
-            tracks=len(self._tracks if self._track_rows is None else self._track_rows),
+            tracks=len(self._tracks) if self._track_log is None else _refine_state(self._track_log)[2],
             bytes_per_frame=nbytes / max(frames, 1),
+            refine_state_bytes=self._tracks_bytes,
+            refine_log_rows=self._tracks_rows,
         )
 
 
@@ -1025,8 +1092,18 @@ def _roll_daily(rows: list, warm_us: int, merge) -> tuple[list, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# (de)serialization: one flat row per track in the .tracks file, and per tier
-# summary in the manifest; a location is the six numbers of _loc_row
+# (de)serialization: a track row and a state record per framed record of the
+# .tracks log, and a flat row per tier summary in the manifest; a location is
+# the six numbers of _loc_row
+
+TAG_TRACK = 4
+TAG_REFINE_STATE = 5
+# track id, kind code, *_loc_row, observation count, miss probability,
+# first and last sighting in us, first and last frame id; then the label
+_TRACK_ROW = struct.Struct("<IB6dIdqqII")
+_TRACK_ID = struct.Struct("<I")
+_REFINE_STATE = struct.Struct("<qqII")  # cursor, next track id, tracks, track rows
+
 
 def _loc_row(loc: LocationEstimate) -> list:
     (c00, c01), (c10, c11) = loc.cov
@@ -1037,21 +1114,63 @@ def _loc_from_row(mx, my, c00, c01, c10, c11) -> LocationEstimate:
     return LocationEstimate(mean=(mx, my), cov=((c00, c01), (c10, c11)))
 
 
-def _track_to_row(t: Track) -> list:
-    return [t.track_id, t.label, t.kind, *_loc_row(t.loc),
-            t.observation_count, t.miss_prob, ts_to_micros(t.first_seen),
-            ts_to_micros(t.last_seen), t.first_frame, t.last_frame]
+def _track_record(t: Track) -> bytes:
+    return segcodec.frame_record(TAG_TRACK, _TRACK_ROW.pack(
+        t.track_id, KINDS.index(t.kind), *_loc_row(t.loc), t.observation_count, t.miss_prob,
+        ts_to_micros(t.first_seen), ts_to_micros(t.last_seen), t.first_frame, t.last_frame,
+    ) + t.label.encode("utf-8"))
 
 
-def _track_from_row(row: list) -> Track:
-    track_id, label, kind = row[:3]
-    n, miss, first_us, last_us, f0, f1 = row[9:]
+def _track_from_payload(payload: bytes) -> Track:
+    track_id, kind, mx, my, c00, c01, c10, c11, n, miss, first_us, last_us, f0, f1 = (
+        _TRACK_ROW.unpack_from(payload))
     return Track(
-        track_id=track_id, label=label, kind=kind, loc=_loc_from_row(*row[3:9]),
-        observation_count=n, miss_prob=miss,
+        track_id=track_id, label=payload[_TRACK_ROW.size:].decode("utf-8"), kind=KINDS[kind],
+        loc=_loc_from_row(mx, my, c00, c01, c10, c11), observation_count=n, miss_prob=miss,
         first_seen=ts_from_micros(first_us), last_seen=ts_from_micros(last_us),
         first_frame=f0, last_frame=f1,
     )
+
+
+def _state_record(cursor: int, next_track_id: int, tracks: int, rows: int) -> bytes:
+    return segcodec.frame_record(TAG_REFINE_STATE,
+                                 _REFINE_STATE.pack(cursor, next_track_id, tracks, rows))
+
+
+_STATE_RECORD_SIZE = len(_state_record(0, 0, 0, 0))
+
+
+def _refine_state(log: bytes) -> tuple[int, int, int, int]:
+    """(cursor, next track id, tracks, track rows) from the state record
+    that ends a committed .tracks log."""
+    if len(log) >= _STATE_RECORD_SIZE:
+        for tag, payload in segcodec.framed_records(log[-_STATE_RECORD_SIZE:]):
+            if tag == TAG_REFINE_STATE:
+                return _REFINE_STATE.unpack(payload)
+    raise CorruptSegment("the .tracks log does not end in a state record")
+
+
+def _replay_tracks(log: bytes) -> list[Track]:
+    """The tracks of a committed .tracks log: the last row of each track
+    id, in the order the ids first appear."""
+    _cursor, _next_id, tracks, rows = _refine_state(log)
+    at: dict[int, int] = {}  # track id -> position
+    last: list[bytes] = []   # the last row of each track, by position
+    seen = 0
+    for tag, payload in segcodec.framed_records(log):
+        if tag == TAG_TRACK:
+            seen += 1
+            pos = at.setdefault(_TRACK_ID.unpack_from(payload)[0], len(last))
+            if pos == len(last):
+                last.append(payload)
+            else:
+                last[pos] = payload
+        elif tag != TAG_REFINE_STATE:
+            raise CorruptSegment(f"unknown .tracks record tag {tag}")
+    if (len(last), seen) != (tracks, rows):
+        raise CorruptSegment(f"the .tracks log holds {len(last)} tracks in {seen} rows, "
+                             f"not {tracks} in {rows}")
+    return [_track_from_payload(p) for p in last]
 
 
 def _label_summary_row(s: LabelSummary) -> list:

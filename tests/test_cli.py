@@ -121,6 +121,34 @@ def test_ingest_refine_bytes_per_frame_counts_refine_state(tmp_path, feed, capsy
     assert ingested["bytes_per_frame"] == stats["bytes_per_frame"]
 
 
+def test_ingest_refine_in_two_halves_counts_the_tracks_once(tmp_path, feed, capsys):
+    """A feed cut at a frame line and ingested with --refine half by half
+    counts the tracks of a one-shot ingest. The second half's flush appended
+    to the refine-state log, which is thus longer than the one-shot's."""
+    with open(feed) as fh:
+        lines = fh.readlines()
+    frames = [i for i, line in enumerate(lines) if '"type":"frame"' in line]
+    cut = frames[len(frames) // 2]
+    halves = []
+    for name, part in (("first", lines[:cut]), ("second", lines[cut:])):
+        halves.append(str(tmp_path / f"{name}.jsonl"))
+        with open(halves[-1], "w") as fh:
+            fh.writelines(part)
+    stats = {}
+    for store, feeds in (("halves", halves), ("whole", [feed])):
+        root = str(tmp_path / store)
+        assert main(["--store", root, "init"]) == 0
+        for path in feeds:
+            assert main(["--store", root, "ingest", "--feed", path, "--refine"]) == 0
+        capsys.readouterr()
+        rc, stats[store] = run_json(capsys, ["--store", root, "--format", "json", "stats"])
+        assert rc == 0
+    halves, whole = stats["halves"], stats["whole"]
+    assert halves["tracks"] == whole["tracks"] == whole["refine_log_rows"] > 0
+    assert halves["refine_log_rows"] >= halves["tracks"]
+    assert halves["refine_state_bytes"] > whole["refine_state_bytes"]
+
+
 def test_ingest_rerun_rejects_duplicates(loaded, capsys):
     store, feed = loaded
     rc, payload = run_json(capsys, ["--store", store, "--format", "json",

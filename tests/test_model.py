@@ -1,5 +1,6 @@
 import math
 import struct
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +65,30 @@ def test_timestamp_micros_roundtrip():
     ts = ts_parse("2019-06-01T12:34:56.789012Z")
     assert ts_from_micros(ts_to_micros(ts)) == ts
     assert ts_parse(ts_format(ts)) == ts
+
+
+offsets = st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23, minutes=-59),
+                                            max_value=timedelta(hours=23, minutes=59)))
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+@given(dt=st.datetimes(min_value=datetime(1900, 1, 2), max_value=datetime(2040, 12, 31),
+                       timezones=offsets))
+def test_ts_to_micros_matches_the_float_formula(dt):
+    """Within 2^51 us of the epoch, where a double's rounding cannot move
+    the count by half a microsecond, the integer count equals the float
+    formula it replaced, whatever the offset."""
+    assert ts_to_micros(dt) == round((dt.astimezone(timezone.utc) - EPOCH).total_seconds() * 1e6)
+
+
+@given(dt=st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31),
+                       timezones=offsets))
+def test_ts_to_micros_is_exact(dt):
+    """Every aware datetime maps to its exact microsecond count: the count
+    maps back to the same instant, and the next microsecond counts one more."""
+    us = ts_to_micros(dt)
+    assert ts_from_micros(us) == dt
+    assert ts_to_micros(dt + timedelta(microseconds=1)) == us + 1
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=32)

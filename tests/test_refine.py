@@ -1,9 +1,12 @@
+import functools
 import math
+import os
 import random
+import tempfile
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from robomem import refine
 from robomem.errors import NonSPDCovariance
@@ -29,7 +32,10 @@ from robomem.refine import (
     run_refinement_pass,
 )
 from robomem.reprocess import run_reprocess, select_frames
+from robomem.scenario import generate_scenario
 from robomem.store import Store
+
+from conftest import small_scenario
 
 from oracle import brute_tracks, canonicalize, feed_state
 
@@ -215,8 +221,6 @@ def test_span_endpoints_are_sighting_timestamps(store):
 
 
 def test_association_determinism(tmp_path):
-    from conftest import small_scenario
-    from robomem.scenario import generate_scenario
     cfg = small_scenario(seed=13)
     _gt, records = generate_scenario(cfg)
     states = []
@@ -248,6 +252,55 @@ def _assert_oracle_tracks(store, records, policy=RefinePolicy()):
         assert t.miss_prob == pytest.approx(b.miss, abs=1e-12)
         assert t.loc.mean == pytest.approx(tuple(b.mean), abs=1e-9)
         assert [x for row in t.loc.cov for x in row] == pytest.approx(b.cov.ravel().tolist(), abs=1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def _replay_feed():
+    """A one-minute feed, and the tracks of one pass over all of it, which
+    the oracle's are."""
+    _gt, records = generate_scenario(small_scenario(seed=21, minutes=1.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Store.create(os.path.join(tmp, "s"))
+        ingest_stream(iter(records), store)
+        run_refinement_pass(store)
+        _assert_oracle_tracks(store, records)
+        whole = store.tracks()
+        store.close()
+    return records, whole
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_refine_log_replays_to_one_pass(data):
+    """A feed cut at random frames into chunks, each appended and refined,
+    with a flush after some chunks (so some flushes carry the changes of two
+    passes), a reopen after some, and after some a state saved without a
+    change set (so the flush compacts the .tracks log), reopens to the
+    tracks of one pass over the whole feed."""
+    records, whole = _replay_feed()
+    frames = [i for i, r in enumerate(records) if isinstance(r, FrameMeta)]
+    cuts = sorted(data.draw(st.sets(st.sampled_from(frames[1:]), max_size=15)))
+    steps = data.draw(st.lists(st.sampled_from(["pass", "flush", "reopen", "compact"]),
+                               min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = os.path.join(tmp, "s")
+        store = Store.create(root)
+        for lo, hi, step in zip([0, *cuts], [*cuts, len(records)], steps):
+            for r in records[lo:hi]:
+                store.append(r)
+            run_refinement_pass(store)
+            if step == "compact":
+                store.save_refine_state(store.load_refine_state())
+            if step != "pass":
+                store.flush()
+            if step == "reopen":
+                store.close()
+                store = Store.open(root)
+        store.close()
+        reopened = Store.open(root, mode="ro")
+        assert reopened.stats().tracks == len(whole)
+        assert reopened.tracks() == whole
+        reopened.close()
 
 
 @pytest.mark.parametrize("gap_us, n_tracks", [(5_000_000, 1), (5_000_001, 2)])
@@ -297,8 +350,6 @@ def test_equal_distance_tie_goes_to_lower_track_id(store):
 
 
 def test_state_carried_across_passes_and_reopen(tmp_path):
-    from conftest import small_scenario
-    from robomem.scenario import generate_scenario
     _gt, records = generate_scenario(small_scenario(seed=7, minutes=3.0))
     starts = [i for i, r in enumerate(records) if isinstance(r, FrameMeta)]
     a, b = starts[len(starts) // 3], starts[2 * len(starts) // 3]
@@ -405,8 +456,6 @@ def _assert_index_current(store):
 
 
 def _scenario_halves(seed=4):
-    from conftest import small_scenario
-    from robomem.scenario import generate_scenario
     _gt, records = generate_scenario(small_scenario(seed=seed, minutes=3.0, label_noise=0.1,
                                                     detection_recall=0.6))
     frames = [r for r in records if isinstance(r, FrameMeta)]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import robomem
+import robomem.store as store_module
 
 from robomem.errors import (
     CorruptSegment,
@@ -44,9 +45,10 @@ from robomem.segment import (
     decode_payload,
     encode_block,
     encode_record,
+    framed_records,
     scan_segment,
 )
-from robomem.store import FORMAT_VERSION, Store, TierPolicy
+from robomem.store import FORMAT_VERSION, TAG_REFINE_STATE, TAG_TRACK, Store, TierPolicy
 
 from conftest import small_scenario
 from oracle import canonicalize
@@ -144,13 +146,14 @@ def test_newer_version_refused(tmp_path, store):
     # with an old tracks.json, version 3 with its tier summaries and
     # coverage in summaries.json and coverage.json, version 4 with its
     # refine state in tracks.json, version 5 with every segment a record
-    # log, and version 6 with a count in each activity summary row; nothing
-    # converts them
+    # log, version 6 with a count in each activity summary row, and
+    # version 7 with its refine state as one JSON document; nothing converts
+    # them
     store.close()
     p = os.path.join(store.root, "manifest.json")
     with open(p) as fh:
         m = json.load(fh)
-    for version in (99, 1, 2, 3, 4, 5, 6):
+    for version in (99, 1, 2, 3, 4, 5, 6, 7):
         m["version"] = version
         with open(p, "w") as fh:
             json.dump(m, fh)
@@ -220,8 +223,9 @@ def test_writer_reads_the_manifest_under_the_lock(tmp_path, monkeypatch):
 
 def test_read_only_open_follows_a_commit_during_its_load(tmp_path, monkeypatch):
     """A writer that ingests, refines and commits while a read-only open
-    loads deletes the .tracks file that open's manifest named. The open
-    reads the manifest again and serves the newer snapshot."""
+    loads, compacting the refine state, deletes the .tracks file that
+    open's manifest named. The open reads the manifest again and serves the
+    newer snapshot."""
     _gt, records = generate_scenario(small_scenario(seed=9, minutes=2.0))
     frames = [r for r in records if isinstance(r, FrameMeta)]
     cut = records.index(frames[len(frames) // 2])
@@ -236,6 +240,7 @@ def test_read_only_open_follows_a_commit_during_its_load(tmp_path, monkeypatch):
         monkeypatch.setattr(Store, "_load", real_load)
         ingest_stream(iter(records[cut:]), writer)
         run_refinement_pass(writer)
+        writer.save_refine_state(writer.load_refine_state())  # no change set: compact
         writer.flush()
         assert manifest["tracks"] == stale != _manifest(writer.root)["tracks"]
         real_load(self, manifest)
@@ -245,6 +250,38 @@ def test_read_only_open_follows_a_commit_during_its_load(tmp_path, monkeypatch):
     assert reader.frame_count() == writer.frame_count() == len(frames)
     assert reader.detection_count() == writer.detection_count()
     assert reader.load_refine_state() == writer.load_refine_state()
+    reader.close()
+    writer.close()
+
+
+def test_read_only_open_during_an_append_serves_the_older_snapshot(tmp_path, monkeypatch):
+    """A writer that ingests, refines and commits while a read-only open
+    loads appends to the log and to the .tracks log that open's manifest
+    named. The open reads each only up to the length that manifest
+    committed, so it serves the older snapshot whole."""
+    _gt, records = generate_scenario(small_scenario(seed=9, minutes=2.0))
+    frames = [r for r in records if isinstance(r, FrameMeta)]
+    cut = records.index(frames[len(frames) // 2])
+    writer = Store.create(str(tmp_path / "s"))
+    ingest_stream(iter(records[:cut]), writer)
+    run_refinement_pass(writer)
+    writer.flush()
+    older = (writer.frame_count(), writer.detection_count(), writer.load_refine_state())
+    real_load = Store._load
+
+    def commit_first(self, manifest):
+        monkeypatch.setattr(Store, "_load", real_load)
+        ingest_stream(iter(records[cut:]), writer)
+        run_refinement_pass(writer)
+        writer.flush()
+        assert manifest["tracks"] == _manifest(writer.root)["tracks"]
+        assert manifest["tracks_bytes"] < _manifest(writer.root)["tracks_bytes"]
+        real_load(self, manifest)
+
+    monkeypatch.setattr(Store, "_load", commit_first)
+    reader = Store.open(writer.root, mode="ro")
+    assert (reader.frame_count(), reader.detection_count(), reader.load_refine_state()) == older
+    assert reader.frame_count() < writer.frame_count()
     reader.close()
     writer.close()
 
@@ -810,35 +847,100 @@ def test_saved_refine_state_replaces_undecoded_rows(populated):
     reopened.close()
 
 
+def _log_records(root, start=0):
+    """The (tag, payload) records of the committed .tracks log from byte
+    `start` on; the file holds nothing past its committed length."""
+    m = _manifest(root)
+    data = _read(os.path.join(root, "segments", m["tracks"]))
+    assert len(data) == m["tracks_bytes"]
+    return list(framed_records(data[start:]))
+
+
 def test_flush_writes_refine_state_only_when_changed(populated):
-    """A flush that leaves the refine state as committed names the same
-    .tracks file; a changed state goes to a new file, and the old one is
+    """A flush that leaves the refine state as committed appends nothing to
+    the .tracks log. A pass that changes k tracks grows the same file by
+    their k rows, in track order, and one state record. A state saved
+    without a change set is compacted into a fresh file, and the old one is
     deleted."""
     store, _gt, _records = populated
     store.flush()
     assert _manifest(store.root)["tracks"] is None  # nothing refined, nothing to write
     run_refinement_pass(store)
     store.flush()
+    n = len(store.tracks())
+    assert [tag for tag, _ in _log_records(store.root)] == [TAG_TRACK] * n + [TAG_REFINE_STATE]
     name = _manifest(store.root)["tracks"]
     path = os.path.join(store.root, "segments", name)
-    inode = os.stat(path).st_ino
+    size = os.path.getsize(path)
     store.flush()
     assert run_refinement_pass(store).observations_fused == 0
     store.flush()
-    assert _manifest(store.root)["tracks"] == name and os.stat(path).st_ino == inode
+    assert _manifest(store.root)["tracks"] == name and os.path.getsize(path) == size
     store.close()
     reopened = Store.open(store.root, mode="rw")
     reopened.flush()
-    assert _manifest(store.root)["tracks"] == name and os.stat(path).st_ino == inode
+    assert _manifest(store.root)["tracks"] == name and os.path.getsize(path) == size
 
+    before = reopened.tracks()
     last = reopened.frame_by_id(reopened.max_frame_id)
+    sighted = {(h.detection.label, h.detection.kind) for label in reopened.labels()
+               for h in reopened.find_by_label(label) if h.frame_id == last.frame_id}
     reopened.append(FrameMeta(last.frame_id + 1, last.ts + timedelta(seconds=1), last.pose))
-    reopened.append(Detection(last.frame_id + 1, "cup", "object", 0.9))
-    run_refinement_pass(reopened)
+    for label, kind in sorted(sighted) + [("mug", "object")]:
+        reopened.append(Detection(last.frame_id + 1, label, kind, 0.9))
+    report = run_refinement_pass(reopened)
+    after = reopened.tracks()
+    changed = [t for i, t in enumerate(after) if i >= len(before) or t != before[i]]
+    k = report.tracks_created + report.tracks_updated
+    assert len(changed) == k >= 2 and report.tracks_created >= 1
     reopened.flush()
-    renamed = _manifest(store.root)["tracks"]
-    assert renamed != name and not os.path.exists(path)
-    assert os.path.exists(os.path.join(store.root, "segments", renamed))
+    assert _manifest(store.root)["tracks"] == name
+    grown = _log_records(store.root, size)
+    assert [tag for tag, _ in grown] == [TAG_TRACK] * k + [TAG_REFINE_STATE]
+    assert [int.from_bytes(p[:4], "little") for _, p in grown[:-1]] == [t.track_id for t in changed]
+
+    snapshot = Store.open(store.root, mode="ro")
+    stats = snapshot.stats()  # before the log is replayed: tracks, not rows
+    assert (stats.tracks, stats.refine_log_rows) == (len(after), n + k)
+    assert stats.refine_state_bytes == os.path.getsize(path)
+    assert snapshot.tracks() == after
+    snapshot.close()
+
+    reopened.save_refine_state(reopened.load_refine_state())
+    reopened.flush()
+    compacted = _manifest(store.root)["tracks"]
+    assert compacted != name and not os.path.exists(path)
+    assert [tag for tag, _ in _log_records(store.root)] == [TAG_TRACK] * len(after) + [TAG_REFINE_STATE]
+    assert reopened.stats().refine_log_rows == len(after)
+    reopened.close()
+    snapshot = Store.open(store.root, mode="ro")
+    assert snapshot.tracks() == after
+    snapshot.close()
+
+
+def test_refine_log_compacts_past_twice_the_tracks(store):
+    """A flush that would leave the .tracks log holding more than twice as
+    many rows as there are tracks writes the state whole to a fresh file."""
+    for f, label in enumerate(("cup", "book", "plant")):
+        store.append(FrameMeta(f, T0 + timedelta(seconds=f), Pose(0.0, 0.0)))
+        store.append(Detection(f, label, "object", 0.9))
+    run_refinement_pass(store)
+    store.flush()
+    first = _manifest(store.root)["tracks"]
+    names, rows = [], []
+    for f in range(3, 7):  # each sighting updates the cup's track
+        store.append(FrameMeta(f, T0 + timedelta(seconds=f), Pose(0.0, 0.0)))
+        store.append(Detection(f, "cup", "object", 0.9))
+        assert run_refinement_pass(store).tracks_updated == 1
+        store.flush()
+        names.append(_manifest(store.root)["tracks"])
+        rows.append(store.stats().refine_log_rows)
+    assert rows == [4, 5, 6, 3]
+    assert names[:3] == [first] * 3 and names[3] != first
+    assert not os.path.exists(os.path.join(store.root, "segments", first))
+    tracks = store.tracks()
+    reopened = Store.open(store.root, mode="ro")
+    assert reopened.tracks() == tracks and reopened.stats().tracks == 3
     reopened.close()
 
 
@@ -895,7 +997,8 @@ def test_migration_shrinks_disk(tmp_path):
 
 def test_migration_keeps_refinement_going(tmp_path):
     """A migration that rolls up refined detections renumbers the refine
-    cursor with them, so detections appended later are all refined."""
+    cursor with them, so detections appended later are all refined. A
+    migration also compacts the .tracks log into a fresh file."""
     _gt, records = generate_scenario(small_scenario(seed=2, minutes=3.0))
     frames = [r for r in records if isinstance(r, FrameMeta)]
     cut = records.index(frames[len(frames) // 2])
@@ -910,12 +1013,18 @@ def test_migration_keeps_refinement_going(tmp_path):
     snapshot = Store.open(s.root, mode="ro")  # the rebased cursor was written
     assert snapshot.load_refine_state()["cursor"] == s.detection_count()
     snapshot.close()
+    name = _manifest(s.root)["tracks"]
 
     new = sum(isinstance(r, Detection) for r in rest)
     ingest_stream(iter(rest), s)
     second = run_refinement_pass(s)
     assert s.load_refine_state()["cursor"] == s.detection_count()
     assert second.tracks_created + second.observations_fused == new
+    s.flush()
+    assert _manifest(s.root)["tracks"] == name  # the second pass's rows were appended
+    s.migrate_tiers(frames[0].ts + timedelta(seconds=90) + policy.hot_window, policy)
+    assert _manifest(s.root)["tracks"] != name
+    assert s.stats().refine_log_rows == s.stats().tracks == len(s.tracks())
     s.close()
 
 
@@ -957,15 +1066,34 @@ def _prepare_reprocess(s, gt, _rest):
     return lambda: run_reprocess(s, request, OracleReprocessor(gt))
 
 
-@pytest.mark.parametrize("prepare", [_prepare_flush, _prepare_migrate, _prepare_reprocess],
-                         ids=["flush", "migrate", "reprocess"])
+def _prepare_refine_append(s, _gt, rest):
+    run_refinement_pass(s)
+    s.flush()  # a committed .tracks log, which the flush below appends to
+    for r in rest:
+        s.append(r)
+    run_refinement_pass(s)
+    return s.flush
+
+
+def _prepare_compact(s, gt, rest):
+    flush = _prepare_refine_append(s, gt, rest)
+    s.save_refine_state(s.load_refine_state())  # no change set: the flush compacts the log
+    return flush
+
+
+@pytest.mark.parametrize("prepare", [_prepare_flush, _prepare_migrate, _prepare_reprocess,
+                                     _prepare_refine_append, _prepare_compact],
+                         ids=["flush", "migrate", "reprocess", "refine-append", "compact"])
 def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepare):
-    """For every k, the k-th os.replace, and apart the k-th os.fsync, of a
-    flush after a refinement pass, a migration or a reprocess fails. A
-    read-write reopen then holds what the store held before the operation
-    or after it: every label's raw hits plus summary counts, the raw
-    detection count, the activities and the analyzed time. The refine cursor is within the detections and
-    the next pass refines the rest. segments/ holds just the files the
+    """For every k, the k-th os.replace, apart the k-th os.fsync, and apart
+    the k-th append to a log (torn: half its bytes written, then an error),
+    of an operation fails: a flush after a refinement pass, a migration, a
+    reprocess, a flush that appends a pass's rows to a committed .tracks
+    log, or one that compacts that log. A read-write reopen then holds what
+    the store held before the operation or after it: every label's raw hits
+    plus summary counts, the raw detection count, the activities, the
+    analyzed time, the tracks and the refine cursor. The next pass refines
+    the detections past the cursor. segments/ holds just the files the
     manifest names, and they and the manifest are the bytes on disk."""
     gt, records = generate_scenario(small_scenario(seed=9, minutes=3.0))
     frames = [r for r in records if isinstance(r, FrameMeta)]
@@ -979,34 +1107,47 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
 
     def contents(st):
         return (_sightings(st), st.detection_count(), st.activities(),
-                [st.is_covered(subject, "dance", full) for subject in (None, "ifrah")])
+                [st.is_covered(subject, "dance", full) for subject in (None, "ifrah")],
+                st.tracks(), st.load_refine_state()["cursor"])
 
     def attempt(name, fail=None, k=0):
+        """Run the operation on a copy of base; return the copy's root, the
+        calls made, whether the operation failed, and the store's contents
+        and .tracks file name as committed before the operation."""
         root = str(tmp_path / name)
         shutil.copytree(base, root)
         st = Store.open(root)
         operation = prepare(st, gt, records[cut:])
-        real = {"replace": os.replace, "fsync": os.fsync}
+        snapshot = Store.open(root, mode="ro")
+        committed = contents(snapshot), _manifest(root)["tracks"]
+        snapshot.close()
+        real = {"replace": os.replace, "fsync": os.fsync, "write": store_module._append_durable}
         calls = dict.fromkeys(real, 0)
 
         def counting(name):
             def call(*args):
                 calls[name] += 1
                 if name == fail and calls[name] == k:
-                    raise OSError(f"injected failure at os.{name} #{k}")
+                    if name == "write":
+                        path, size, data = args
+                        with open(path, "ab") as fh:
+                            fh.truncate(size)
+                            fh.write(data[:len(data) // 2])
+                    raise OSError(f"injected failure at {name} #{k}")
                 return real[name](*args)
             return call
 
         failed = False
         with monkeypatch.context() as m:
-            for name in real:
+            for name in ("replace", "fsync"):
                 m.setattr(os, name, counting(name))
+            m.setattr(store_module, "_append_durable", counting("write"))
             try:
                 operation()
             except OSError:
                 failed = True
         st.close(flush=False)
-        return root, calls, failed
+        return root, calls, failed, committed
 
     def check(root, allowed):
         st = Store.open(root)  # read-write: deletes what the manifest does not name
@@ -1014,6 +1155,8 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
         named = _named_files(root)
         seg_dir = os.path.join(root, "segments")
         assert set(os.listdir(seg_dir)) == named
+        m = _manifest(root)  # and cuts the .tracks log to its committed length
+        assert m["tracks"] is None or os.path.getsize(os.path.join(seg_dir, m["tracks"])) == m["tracks_bytes"]
         assert st.stats().bytes_on_disk == os.path.getsize(os.path.join(root, "manifest.json")) + sum(
             os.path.getsize(os.path.join(seg_dir, n)) for n in named)
         n = st.detection_count()
@@ -1022,10 +1165,7 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
         assert st.load_refine_state()["cursor"] == n
         st.close(flush=False)
 
-    snapshot = Store.open(base, mode="ro")
-    before = contents(snapshot)
-    snapshot.close()
-    root, calls, failed = attempt("clean")
+    root, calls, failed, (before, tracks_file) = attempt("clean")
     snapshot = Store.open(root, mode="ro")
     after = contents(snapshot)
     snapshot.close()
@@ -1037,22 +1177,28 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
     written = {n for n in _manifest(root)["segments"] if n.endswith(".blk")} - set(
         _manifest(base)["segments"])
     assert bool(written) == (prepare is not _prepare_reprocess)
+    if prepare in (_prepare_refine_append, _prepare_compact):
+        # appended to the committed log, or compacted into a fresh one
+        assert (_manifest(root)["tracks"] == tracks_file) == (prepare is _prepare_refine_append)
+        assert calls["write"] >= 1 + (prepare is _prepare_refine_append)
     for fail in calls:
         for k in range(1, calls[fail] + 1):
-            root, _calls, failed = attempt(f"{fail}{k}", fail, k)
+            root, _calls, failed, _committed = attempt(f"{fail}{k}", fail, k)
             assert failed
             check(root, [before, after])
 
 
-@pytest.mark.parametrize("operation", ["append", "seal", "migrate"])
+@pytest.mark.parametrize("operation", ["append", "seal", "migrate", "refine-append"])
 def test_writer_carries_on_after_a_failed_fsync(tmp_path, monkeypatch, operation):
     """For every k, the k-th os.fsync of a flush that appends to the log,
-    of one that seals it, or of a migration, fails, and the writer carries
-    on with a flush. A failed migration leaves the writer's memory as it
-    was: the sightings (raw hits plus summary counts), the tier summaries,
-    the activities and the refine cursor. A failed flush keeps its records
-    pending, and the next flush writes each of them once. A reopen reads
-    what the writer holds."""
+    of one that seals it, of a migration, or of a flush that appends a
+    pass's rows to the .tracks log, fails, and the writer carries on with a
+    flush. A failed migration leaves the writer's memory as it was: the
+    sightings (raw hits plus summary counts), the tier summaries, the
+    activities, the tracks and the refine cursor. A failed flush keeps its
+    records and changed tracks pending, and the next flush writes each of
+    them once: the .tracks log ends as a flush that did not fail leaves it.
+    A reopen reads what the writer holds."""
     _gt, records = generate_scenario(small_scenario(seed=9, minutes=3.0))
     frames = [r for r in records if isinstance(r, FrameMeta)]
     cut = records.index(frames[len(frames) * 2 // 3])
@@ -1077,7 +1223,12 @@ def test_writer_carries_on_after_a_failed_fsync(tmp_path, monkeypatch, operation
 
     def state(st):
         return (_sightings(st), st.detection_count(), st.label_summaries(),
-                st.activity_summaries(), st.activities(), st.load_refine_state()["cursor"])
+                st.activity_summaries(), st.activities(), st.tracks(),
+                st.load_refine_state()["cursor"])
+
+    def tracks_log(root):
+        m = _manifest(root)
+        return m["tracks"], _read(os.path.join(root, "segments", m["tracks"]))
 
     def attempt(name, fail_at=0):
         root = str(tmp_path / name)
@@ -1098,8 +1249,11 @@ def test_writer_carries_on_after_a_failed_fsync(tmp_path, monkeypatch, operation
                 if operation == "migrate":
                     st.migrate_tiers(t0 + timedelta(seconds=150) + policy.hot_window, policy)
                 else:
-                    for r in records[cut:cut + 20] if operation == "append" else records[cut:]:
+                    for r in records[cut:] if operation == "seal" else records[cut:cut + 20]:
                         st.append(r)
+                    if operation == "refine-append":
+                        changed = run_refinement_pass(st)
+                        assert changed.tracks_created + changed.tracks_updated >= 1
                     st.flush()
             except OSError:
                 assert fsyncs == fail_at
@@ -1112,18 +1266,25 @@ def test_writer_carries_on_after_a_failed_fsync(tmp_path, monkeypatch, operation
     after = state(st)
     assert after != before and fsyncs >= 2
     assert any(n.endswith(".blk") and n not in _manifest(base)["segments"]
-               for n in _manifest(st.root)["segments"]) == (operation != "append")
+               for n in _manifest(st.root)["segments"]) == (operation in ("seal", "migrate"))
     st.close()
+    clean_log = tracks_log(st.root)
+    if operation == "refine-append":  # appended to the base's log, not compacted
+        base_name, base_log = tracks_log(base)
+        assert clean_log[0] == base_name and clean_log[1].startswith(base_log)
     want = before if operation == "migrate" else after
     for k in range(1, fsyncs + 1):
         st, _ = attempt(f"fail{k}", k)
         assert state(st) == want
         st.flush()
         st.close()
-        # the log holds nothing past its committed length, where an append would go
+        # the logs hold nothing past their committed length, where an append would go
         m = _manifest(st.root)
         if m["segments"][-1].endswith(".seg"):
             assert os.path.getsize(os.path.join(st.root, "segments", m["segments"][-1])) == m["log_bytes"]
+        assert os.path.getsize(os.path.join(st.root, "segments", m["tracks"])) == m["tracks_bytes"]
+        if operation == "refine-append":
+            assert tracks_log(st.root) == clean_log
         reopened = Store.open(st.root, mode="ro")
         assert state(reopened) == want
         reopened.close()

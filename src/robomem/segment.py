@@ -18,13 +18,16 @@ A store keeps its frames in a FrameColumns table and its detections in a
 DetectionColumns table, one typed array per field, and scan_segment decodes
 records straight into them; a FrameMeta or Detection is built only when a
 caller asks for one. A log is walked one record at a time. A full segment
-is sealed into a block (encode_block), written from a slice of the tables:
-each column as zlib'd little-endian bytes, the detections' label table, the
-activities as framed records, and one CRC over the file. Reading a block
-checks the CRC, decompresses each column and appends it to its table
-whole, so a frame or detection in a block costs no Python step of its own
-beyond the detection's frame lookup and posting. A block checks or fails as
-one unit: it is never cut back, since a flush writes it whole before the
+is sealed into two blocks, written from slices of the tables: a frame block
+(encode_frame_block) holds the segment's frames as zlib'd little-endian
+columns, and a detection block (encode_detection_block) holds its
+detections as columns, their label table and its activities as framed
+records. Each block carries one CRC over the file. Reading a block checks
+the CRC, decompresses each column and appends it to its table whole, so a
+frame or detection in a block costs no Python step of its own beyond the
+detection's posting; a detection block's frame ids are placed in the frame
+table in one pass (FrameColumns.positions). A block checks or fails as one
+unit: it is never cut back, since a flush writes it whole before the
 manifest names it.
 """
 
@@ -35,8 +38,10 @@ import struct
 import sys
 import zlib
 from array import array
-from bisect import bisect_left, insort
-from typing import Iterator, Optional
+from bisect import bisect_left, bisect_right, insort
+from itertools import repeat
+from operator import sub
+from typing import Callable, Iterator, Optional
 
 from .errors import CorruptSegment
 from .model import (
@@ -194,6 +199,23 @@ class FrameColumns:
         i = bisect_left(ids, frame_id, 0, min(max(i, 0), n))
         return i if i < n and ids[i] == frame_id else -1
 
+    def positions(self, frame_ids: array) -> array:
+        """The position of each frame id, -1 where the table holds no such
+        frame. Ids confined to a dense run of the table (every id between
+        their least and greatest is held) map with one subtraction each."""
+        if not frame_ids:
+            return array("q")
+        least, greatest = min(frame_ids), max(frame_ids)
+        first = self.position(least)
+        if first >= 0 and self.position(greatest) - first == greatest - least:
+            return array("q", map(sub, frame_ids, repeat(least - first)))
+        return array("q", map(self.position, frame_ids))
+
+    def window(self, lo_us: int, hi_us: int) -> tuple[int, int]:
+        """Half-open positions of the frames with lo_us <= ts <= hi_us."""
+        ts_us = self.ts_us
+        return bisect_left(ts_us, lo_us), bisect_right(ts_us, hi_us)
+
     def frame(self, i: int) -> FrameMeta:
         return FrameMeta(frame_id=self.frame_id[i], ts=ts_from_micros(self.ts_us[i]),
                          pose=Pose(x=self.x[i], y=self.y[i], z=self.z[i],
@@ -284,23 +306,29 @@ class DetectionColumns:
         return out
 
 
-# A sealed block: _BLOCK_HEAD, then one section per entry of _BLOCK_SECTIONS,
-# each a u32 length and that many bytes of zlib'd data, then the u32 crc32 of
-# everything before it. A column section holds the column's items as
-# little-endian bytes.
-_BLOCK_MAGIC = b"\xb1RMB"  # its first byte is no record tag, so no log starts with it
-_BLOCK_HEAD = struct.Struct("<4sII")  # magic, frames, detections
+# A sealed block: _BLOCK_HEAD, then one section per column or table of its
+# kind, each a u32 length and that many bytes of zlib'd data, then the u32
+# crc32 of everything before it. A column section holds the column's items
+# as little-endian bytes. The first byte of either magic is no record tag, so
+# no log starts with it.
+_FRAME_MAGIC = b"\xb1RMF"  # a frame block: the frame columns
+_DETECTION_MAGIC = b"\xb1RMD"  # a detection block: the detection columns, label table, activities
+_BLOCK_HEAD = struct.Struct("<4sI")  # magic, frames or detections held
 _SECTION = struct.Struct("<I")
 _ZLIB_LEVEL = 1  # level 6 takes twice the time for 1.5% smaller blocks
 _FRAME_COLUMNS = (("frame_id", "q"), ("ts_us", "q"), ("x", "d"), ("y", "d"),
                   ("z", "f"), ("roll", "f"), ("pitch", "f"), ("yaw", "f"))
 # detection columns: frame id, index into the block's label table, kind code, confidence
 _DET_COLUMNS = ("q", "i", "b", "d")
-_BLOCK_SECTIONS = len(_FRAME_COLUMNS) + len(_DET_COLUMNS) + 2  # + label table, activities
 _NATIVE_LE = sys.byteorder == "little"
 # A log walk moves frame bodies to the columns this many at a time, so it
 # holds few of them at once.
 _ROWS_HELD = 256
+
+# Maps an array of frame ids to their positions in a frame table, -1 where it
+# holds none (FrameColumns.positions, or the store's, which first makes the
+# frame blocks of older ids resident).
+Placer = Callable[[array], array]
 
 
 def _le_bytes(column: array) -> bytes:
@@ -323,25 +351,8 @@ def _column(raw: bytes, typecode: str, count: int) -> array:
     return out
 
 
-def encode_block(frames: FrameColumns, detections: DetectionColumns,
-                 activities: list[ActivityEvent], start: tuple[int, int, int],
-                 end: tuple[int, int, int]) -> bytes:
-    """The sealed block of frames start[0]:end[0], detections start[1]:end[1]
-    (whose frame table is `frames`) and activities start[2]:end[2].
-
-    The labels of the block's detections are listed in first-seen order, so
-    a read interns them in the order a walk of their records would."""
-    (f0, d0, a0), (f1, d1, a1) = start, end
-    label_ids = detections.label_id[d0:d1]
-    table = {lid: i for i, lid in enumerate(dict.fromkeys(label_ids))}
-    columns = [getattr(frames, name)[f0:f1] for name, _typecode in _FRAME_COLUMNS]
-    columns += [array("q", map(frames.frame_id.__getitem__, detections.position[d0:d1])),
-                array("i", map(table.__getitem__, label_ids)),
-                detections.kind[d0:d1], detections.confidence[d0:d1]]
-    sections = [_le_bytes(c) for c in columns]
-    sections.append(json.dumps([detections.labels[lid] for lid in table]).encode("utf-8"))
-    sections.append(b"".join(encode_record(ev) for ev in activities[a0:a1]))
-    body = [_BLOCK_HEAD.pack(_BLOCK_MAGIC, f1 - f0, d1 - d0)]
+def _encode_sections(magic: bytes, count: int, sections: list[bytes]) -> bytes:
+    body = [_BLOCK_HEAD.pack(magic, count)]
     for raw in sections:
         packed = zlib.compress(raw, _ZLIB_LEVEL)
         body += (_SECTION.pack(len(packed)), packed)
@@ -349,17 +360,16 @@ def encode_block(frames: FrameColumns, detections: DetectionColumns,
     return data + _CRC.pack(zlib.crc32(data))
 
 
-def _scan_block(data: bytes, frames: Optional[FrameColumns],
-                detections: Optional[DetectionColumns]) -> tuple[list[FeedRecord], int]:
-    """scan_segment of a sealed block: all of it, or nothing if its CRC fails."""
+def _decode_sections(data: bytes, n_sections: int) -> Optional[tuple[int, list[bytes]]]:
+    """A block's item count and decompressed sections, or None if its CRC fails."""
     end = len(data) - _CRC.size
     if end < _BLOCK_HEAD.size or zlib.crc32(memoryview(data)[:end]) != _CRC.unpack_from(data, end)[0]:
-        return [], 0
-    _magic, n_frames, n_dets = _BLOCK_HEAD.unpack_from(data)
+        return None
+    _magic, count = _BLOCK_HEAD.unpack_from(data)
     sections = []
     off = _BLOCK_HEAD.size
     try:
-        for _ in range(_BLOCK_SECTIONS):
+        for _ in range(n_sections):
             (size,) = _SECTION.unpack_from(data, off)
             off += _SECTION.size + size
             sections.append(zlib.decompress(data[off - size:off]))
@@ -367,11 +377,57 @@ def _scan_block(data: bytes, frames: Optional[FrameColumns],
         raise CorruptSegment(f"malformed block: {e}") from None
     if off != end:
         raise CorruptSegment("malformed block: sections do not fill it")
-    frame_columns = [_column(raw, typecode, n_frames)
-                     for raw, (_name, typecode) in zip(sections, _FRAME_COLUMNS)]
+    return count, sections
+
+
+def encode_frame_block(frames: FrameColumns, start: int, end: int) -> bytes:
+    """The sealed frame block of frames start:end."""
+    return _encode_sections(_FRAME_MAGIC, end - start, [
+        _le_bytes(getattr(frames, name)[start:end]) for name, _typecode in _FRAME_COLUMNS])
+
+
+def encode_detection_block(detections: DetectionColumns, activities: list[ActivityEvent],
+                           start: tuple[int, int], end: tuple[int, int]) -> bytes:
+    """The sealed detection block of detections start[0]:end[0] and
+    activities start[1]:end[1]. A detection is written with its frame's id.
+
+    The labels of the block's detections are listed in first-seen order, so
+    a read interns them in the order a walk of their records would."""
+    (d0, a0), (d1, a1) = start, end
+    label_ids = detections.label_id[d0:d1]
+    table = {lid: i for i, lid in enumerate(dict.fromkeys(label_ids))}
+    columns = [array("q", map(detections.frames.frame_id.__getitem__, detections.position[d0:d1])),
+               array("i", map(table.__getitem__, label_ids)),
+               detections.kind[d0:d1], detections.confidence[d0:d1]]
+    sections = [_le_bytes(c) for c in columns]
+    sections.append(json.dumps([detections.labels[lid] for lid in table]).encode("utf-8"))
+    sections.append(b"".join(encode_record(ev) for ev in activities[a0:a1]))
+    return _encode_sections(_DETECTION_MAGIC, d1 - d0, sections)
+
+
+def _scan_frame_block(data: bytes, frames: Optional[FrameColumns]) -> tuple[list[FeedRecord], int]:
+    """scan_segment of a frame block: all of it, or nothing if its CRC fails."""
+    decoded = _decode_sections(data, len(_FRAME_COLUMNS))
+    if decoded is None:
+        return [], 0
+    count, sections = decoded
+    columns = [_column(raw, typecode, count)
+               for raw, (_name, typecode) in zip(sections, _FRAME_COLUMNS)]
+    table = frames if frames is not None else FrameColumns()
+    for (name, _typecode), column in zip(_FRAME_COLUMNS, columns):
+        getattr(table, name).extend(column)
+    return ([] if frames is not None else list(map(table.frame, range(count)))), len(data)
+
+
+def _scan_detection_block(data: bytes, detections: Optional[DetectionColumns],
+                          place: Optional[Placer]) -> tuple[list[FeedRecord], int]:
+    """scan_segment of a detection block: all of it, or nothing if its CRC fails."""
+    decoded = _decode_sections(data, len(_DET_COLUMNS) + 2)
+    if decoded is None:
+        return [], 0
+    n_dets, sections = decoded
     fids, lids, kinds, confidences = (
-        _column(raw, typecode, n_dets)
-        for raw, typecode in zip(sections[len(_FRAME_COLUMNS):], _DET_COLUMNS))
+        _column(raw, typecode, n_dets) for raw, typecode in zip(sections, _DET_COLUMNS))
     try:
         table = [label.encode("utf-8") for label in json.loads(sections[-2])]
     except (ValueError, TypeError, AttributeError) as e:
@@ -383,52 +439,58 @@ def _scan_block(data: bytes, frames: Optional[FrameColumns],
     if good != len(sections[-1]) or not all(isinstance(r, ActivityEvent) for r in records):
         raise CorruptSegment("malformed block: bad activity records")
 
-    built: list[FeedRecord] = []  # the frames and detections not taken into columns
-    take_frames = frames is not None
-    if not take_frames:
-        frames = FrameColumns()
-    for (name, _typecode), column in zip(_FRAME_COLUMNS, frame_columns):
-        getattr(frames, name).extend(column)
-    if not take_frames:
-        built += map(frames.frame, range(n_frames))
-    if not take_frames or detections is None:
+    if detections is None:
         labels = [raw.decode("utf-8") for raw in table]
-        built += (Detection(frame_id=f, label=labels[lid], kind=KINDS[kind], confidence=c)
-                  for f, lid, kind, c in zip(fids, lids, kinds, confidences))
-    elif n_dets:
+        return [Detection(frame_id=f, label=labels[lid], kind=KINDS[kind], confidence=c)
+                for f, lid, kind, c in zip(fids, lids, kinds, confidences)] + records, len(data)
+    if n_dets:
         ids = array("i", map(detections.intern, table))
-        positions = array("q", map(frames.position, fids))
-        if min(positions) < 0:
-            raise CorruptSegment(f"detection of unknown frame {fids[positions.index(-1)]}")
-        detections.extend(positions, array("i", map(ids.__getitem__, lids)), kinds, confidences)
-    return built + records, len(data)
+        detections.extend(_placed(fids, place), array("i", map(ids.__getitem__, lids)),
+                          kinds, confidences)
+    return records, len(data)
+
+
+def _placed(frame_ids: array, place: Placer) -> array:
+    """The positions `place` gives the frame ids; raises CorruptSegment if
+    an id has none."""
+    positions = place(frame_ids)
+    if min(positions) < 0:
+        raise CorruptSegment(f"detection of unknown frame {frame_ids[positions.index(-1)]}")
+    return positions
 
 
 def scan_segment(data: bytes, frames: Optional[FrameColumns] = None,
                  detections: Optional[DetectionColumns] = None,
-                 ) -> tuple[list[FeedRecord], int]:
-    """Decode records from a segment file's bytes: a record log or a sealed block.
+                 place: Optional[Placer] = None) -> tuple[list[FeedRecord], int]:
+    """Decode records from a segment file's bytes: a record log, a frame
+    block or a detection block.
 
     Returns (records, good_bytes) where good_bytes is the offset of the first
     incomplete or checksum-failing record; everything before it decoded clean.
     A block decodes whole, or not at all (good_bytes 0) if its CRC fails.
     Given `frames`, frame records are appended to those columns instead of
     being returned. Given `detections` as well (whose frame table is
-    `frames`), so are detection records; their frames must be in `frames`
-    by the end of the segment. A block returns its frames, then its
-    detections, then its activities.
+    `frames`), so are detection records, placed in the frame table by
+    `place` (default frames.positions); their frames must be there by the
+    end of the segment. A detection block returns its detections, then its
+    activities.
     """
-    if data.startswith(_BLOCK_MAGIC):
-        return _scan_block(data, frames, detections)
-    return _scan_log(data, frames, detections)
+    if frames is not None and place is None:
+        place = frames.positions
+    if data.startswith(_FRAME_MAGIC):
+        return _scan_frame_block(data, frames)
+    if data.startswith(_DETECTION_MAGIC):
+        return _scan_detection_block(data, detections if frames is not None else None, place)
+    return _scan_log(data, frames, detections, place)
 
 
 def _scan_log(data: bytes, frames: Optional[FrameColumns],
-              detections: Optional[DetectionColumns]) -> tuple[list[FeedRecord], int]:
+              detections: Optional[DetectionColumns],
+              place: Optional[Placer] = None) -> tuple[list[FeedRecord], int]:
     """scan_segment of a record log, walked one record at a time."""
     records: list[FeedRecord] = []
     rows: list[tuple] = []  # frame bodies bound for `frames`
-    sighted: list[int] = []  # frame ids of the detections bound for `detections`
+    sighted = array("q")  # frame ids of the detections bound for `detections`
     label_ids, kinds, confidences = array("i"), array("b"), array("d")
     take_frames = frames is not None
     take_detections = take_frames and detections is not None
@@ -475,24 +537,22 @@ def _scan_log(data: bytes, frames: Optional[FrameColumns],
     if take_frames:
         frames.extend(rows)
     if sighted:
-        positions = array("q", map(frames.position, sighted))
-        if min(positions) < 0:
-            raise CorruptSegment(f"detection of unknown frame {sighted[positions.index(-1)]}")
-        detections.extend(positions, label_ids, kinds, confidences)
+        detections.extend(_placed(sighted, place), label_ids, kinds, confidences)
     return records, off
 
 
 def read_segment(path, tolerate_tail: bool, frames: FrameColumns,
-                 detections: DetectionColumns, size: int = -1) -> tuple[list[FeedRecord], int]:
+                 detections: Optional[DetectionColumns] = None, size: int = -1,
+                 place: Optional[Placer] = None) -> tuple[list[FeedRecord], int]:
     """Read one segment file, a log or a block, or its first `size` bytes;
     raise CorruptSegment on a torn tail unless tolerated (only a log's tail
     is ever tolerated, and a block fails whole).
 
-    Frame and detection records go into `frames` and `detections`; the
-    other records are returned."""
+    Frame and detection records go into `frames` and `detections` (see
+    scan_segment); the other records are returned."""
     with open(path, "rb") as fh:
         data = fh.read(size)
-    records, good = scan_segment(data, frames, detections)
+    records, good = scan_segment(data, frames, detections, place)
     if good != len(data) and not tolerate_tail:
         raise CorruptSegment(f"{path}: bad record at offset {good}")
     return records, good

@@ -3,27 +3,41 @@
 On-disk layout under the store root:
 
     manifest.json         the store's one commit record, written atomically
-                          (tmp + rename): the names of the live segment
-                          files, the committed length of the log, the
-                          name of the refine-state log (null before the
-                          first refinement) and its committed length, the
-                          warm (hourly) and cold
-                          (daily) tier summaries as flat rows, and the
-                          analyzed time as (subject, activity, from_us,
-                          to_us) coverage rows. One rename publishes all of
-                          them. A summary row is immutable, and there is one
-                          per (what, tier, bucket), what being a label and
-                          kind or a subject and activity: a migration merges
-                          into a bucket's row rather than add a second.
-    segments/NNNN.blk     a sealed block (segment.encode_block): the
-                          frames, detections and activities of one full
-                          segment as zlib'd columns under one CRC. A flush
-                          that fills the log to segment_max_records writes
-                          the block from the in-memory tables and the
-                          manifest names it, under the log's number, in
-                          place of the log; a migration writes the whole
-                          store as blocks.
-    segments/NNNN.seg     the log: the last segment, if it is not a block,
+                          (tmp + rename): the frame block directory, the
+                          hot cutoff of the last migration (hot_from_us,
+                          null before the first), the names of the live
+                          detection blocks and log, the committed length of
+                          the log, the name of the refine-state log (null
+                          before the first refinement) and its committed
+                          length, the warm (hourly) and cold (daily) tier
+                          summaries as flat rows, and the analyzed time as
+                          (subject, activity, from_us, to_us) coverage rows.
+                          One rename publishes all of them. A summary row
+                          is immutable, and there is one per (what, tier,
+                          bucket), what being a label and kind or a subject
+                          and activity: a migration merges into a bucket's
+                          row rather than add a second.
+    segments/NNNN.frames  a frame block (segment.encode_frame_block): the
+                          frames of one sealed segment as zlib'd columns
+                          under one CRC. The directory lists each as [name,
+                          first and last frame id, first and last ts_us,
+                          frame count], in frame order. Once the manifest
+                          names a frame block it is never rewritten or
+                          deleted, so a read-only store can read one long
+                          after its open.
+    segments/NNNN.blk     a detection block (segment.encode_detection_block):
+                          detections, by frame id, and activities as zlib'd
+                          columns and framed records under one CRC. A flush
+                          that fills the log to segment_max_records seals
+                          it: it writes the log's frames as a frame block
+                          and its detections and activities as a detection
+                          block, both under the log's number, straight from
+                          the in-memory tables, and the manifest names them
+                          in the log's place. A migration seals the log's
+                          frames into a frame block too, writes the
+                          detections and activities it keeps as fresh
+                          detection blocks, and rewrites no frame block.
+    segments/NNNN.seg     the log: the last segment, if it is not sealed,
                           as append-only framed records. Bytes past its
                           committed length are appends no commit published:
                           open does not read them, and a read-write open
@@ -56,25 +70,38 @@ deletes it right after the manifest rename, and so does a read-write open.
 A crash at any point thus leaves the store as one manifest describes it,
 and a file is never renamed into place except the manifest.
 
-The segments and the manifest are authoritative. Each segment holds a
-contiguous run of each table below (frames, detections, activities), in
-segment order. Everything else lives
-only in memory and is rebuilt from the segments at open, so no index file is
-written:
+The segments and the manifest are authoritative. The frame blocks, then the
+log, hold the frame table in order; the detection blocks, then the log, hold
+the detections and the activities. Everything else lives only in memory and
+is rebuilt at open, so no index file is written:
 
-    frames            one segment.FrameColumns table: typed arrays of frame
-                      id, timestamp (us) and pose, in frame-id order. Open
-                      and append unpack frame bodies straight into it; a
-                      FrameMeta is built only when a caller asks for a frame
-                      (frame_by_id, LabelHit.frame). The table doubles as the
+    frames            the resident frames: one segment.FrameColumns table
+                      (typed arrays of frame id, timestamp in us and pose,
+                      in frame-id order) of the frame blocks from the first
+                      that meets the hot window (every block before the
+                      first migration) and the log. A held detection of an
+                      older frame makes that frame's block, and every block
+                      after it, resident too, at open or when a reprocess
+                      appends one, so the resident frames are always one
+                      suffix of the frame table and every held detection's
+                      frame is among them. The older frame blocks are cold:
+                      frame_by_id, frames_in_range, time_bounds (from the
+                      directory) and LabelHit.frame read them on demand,
+                      each block whole through a cache of COLD_BLOCKS_HELD
+                      blocks. A damaged cold block raises CorruptSegment
+                      when it is first read. A FrameMeta is built only when
+                      a caller asks for a frame; the table doubles as the
                       time index.
     detections        one segment.DetectionColumns table in append order
-                      (seq = index): typed arrays of frame position,
-                      interned label id, kind and confidence. Open scans
-                      detection records straight into it; a Detection is
-                      built only at the API boundary (detections_from,
-                      LabelHit.detection), and migration fuses and
-                      re-encodes straight from the columns.
+                      (seq = index): typed arrays of frame position (an
+                      index into the resident frames), interned label id,
+                      kind and confidence. Open scans detection records
+                      straight into it; a Detection is built only at the
+                      API boundary (detections_from, LabelHit.detection),
+                      and migration fuses and re-encodes straight from the
+                      columns. When the resident frames grow downward every
+                      position moves up by the frames added, in one pass
+                      over the column.
     postings          per (label, kind), an array of seqs sorted by (frame
                       position, seq), held in the detection table
     activities        ActivityEvent objects in append order
@@ -98,13 +125,15 @@ import heapq
 import json
 import os
 import struct
+from array import array
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
-from itertools import islice
-from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from itertools import islice, repeat
+from operator import add, attrgetter
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import segment as segcodec
 from .errors import (
@@ -130,8 +159,12 @@ from .model import (
 )
 from .refine import TrackIndex, fuse, index_tracks, observation_at, track_containing
 
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 DEFAULT_SEGMENT_RECORDS = 8192
+# Cold frame blocks held decoded after a read, least recently used dropped
+# first: enough that reads spread over a few days of history do not reread
+# their blocks.
+COLD_BLOCKS_HELD = 4
 
 HOUR_US = 3_600_000_000
 DAY_US = 24 * HOUR_US
@@ -190,6 +223,20 @@ class ActivitySummary(_TierRow):
         return self.subject, self.name, self.tier, self.bucket_us
 
 
+class FrameBlock(NamedTuple):
+    """A frame block as the manifest's block directory lists it."""
+    name: str
+    first_id: int
+    last_id: int
+    first_ts_us: int
+    last_ts_us: int
+    count: int
+
+
+_FIRST_ID = attrgetter("first_id")
+_LAST_TS = attrgetter("last_ts_us")
+
+
 @dataclass(frozen=True)
 class LabelHit:
     """One result of find_by_label: a raw sighting, or a summary stand-in.
@@ -199,10 +246,11 @@ class LabelHit:
     directly, while `detection` and `frame` build a Detection or FrameMeta
     when asked for. A summary stand-in (seq -1) is coarse; its count,
     location, confidence and frames are the summary's, and its detection is
-    anchored at the summary's last frame."""
+    anchored at the summary's last frame, which may be read off a cold
+    frame block."""
     seq: int
     ts_us: int
-    detections: segcodec.DetectionColumns = field(repr=False, compare=False)
+    store: "Store" = field(repr=False, compare=False)
     summary: Optional[LabelSummary] = None
 
     @property
@@ -213,14 +261,14 @@ class LabelHit:
     def detection(self) -> Detection:
         s = self.summary
         if s is None:
-            return self.detections.detection(self.seq)
+            return self.store._detections.detection(self.seq)
         return Detection(frame_id=s.last_frame, label=s.label, kind=s.kind,
                          confidence=s.detect_prob)
 
     @property
     def confidence(self) -> float:
         if self.summary is None:
-            return self.detections.confidence[self.seq]
+            return self.store._detections.confidence[self.seq]
         return self.summary.detect_prob
 
     @property
@@ -241,15 +289,16 @@ class LabelHit:
     @property
     def frame_id(self) -> int:
         if self.summary is None:
-            return self.detections.frames.frame_id[self.detections.position[self.seq]]
+            dets = self.store._detections
+            return dets.frames.frame_id[dets.position[self.seq]]
         return self.summary.last_frame
 
     @property
     def frame(self) -> FrameMeta:
-        frames = self.detections.frames
         if self.summary is None:
-            return frames.frame(self.detections.position[self.seq])
-        return frames.frame(frames.position(self.summary.last_frame))
+            dets = self.store._detections
+            return dets.frames.frame(dets.position[self.seq])
+        return self.store.frame_by_id(self.summary.last_frame)
 
     @property
     def ts(self) -> datetime:
@@ -276,6 +325,8 @@ class StoreStats:
     bytes_per_frame: float
     refine_state_bytes: int  # the committed length of the .tracks log
     refine_log_rows: int     # track rows in it, which compaction brings down to `tracks`
+    frame_blocks: int        # in the block directory
+    resident_frame_blocks: int  # of those, held in memory: the resident ones and the cold ones cached
 
 
 def _write_durable(path: str, data: bytes) -> None:
@@ -319,7 +370,7 @@ class Store:
     def __init__(self, root: str, mode: str):
         self.root = root
         self.mode = mode
-        self._segments: list[str] = []          # live segment file names, the log last if any
+        self._segments: list[str] = []          # live detection blocks, then the log if any
         self._log_bytes = 0                     # the log's durable length
         # (frames, detections, activities) held before the log's first record,
         # and held in the segment files
@@ -329,7 +380,12 @@ class Store:
         self._segment_max = DEFAULT_SEGMENT_RECORDS
         self._pending: list[bytes] = []         # encoded but unflushed records
 
-        self._frames = segcodec.FrameColumns()
+        self._blocks: list[FrameBlock] = []     # the frame block directory
+        self._hot_from_us: Optional[int] = None  # the last migration's hot cutoff
+        self._resident_from = 0                 # blocks before this one are cold
+        self._cold_frames = 0                   # the frames they hold
+        self._cold: OrderedDict[str, segcodec.FrameColumns] = OrderedDict()  # cold blocks read
+        self._frames = segcodec.FrameColumns()  # the resident frames: blocks from _resident_from, the log
         self._detections = segcodec.DetectionColumns(self._frames)  # seq = index, with postings
         self._activities: list[ActivityEvent] = []
 
@@ -438,22 +494,34 @@ class Store:
                 f"store version {manifest['version']} is not the supported version {FORMAT_VERSION}")
         self._segment_max = manifest["segment_max_records"]
         self._next_segment_no = manifest["next_segment_no"]
+        self._blocks = [FrameBlock(*row) for row in manifest["frames"]]
+        self._hot_from_us = manifest["hot_from_us"]
+        # the frame blocks that meet the hot window are resident; a held
+        # detection of an older frame makes its block resident (_place)
+        k = 0 if self._hot_from_us is None else bisect_left(self._blocks, self._hot_from_us,
+                                                             key=_LAST_TS)
+        self._resident_from = k
+        self._cold_frames = sum(b.count for b in self._blocks[:k])
+        for block in self._blocks[k:]:
+            self._read_frame_block(block, self._frames)
         self._segments = list(manifest["segments"])
         for name in self._segments:
             path = os.path.join(self.root, "segments", name)
             is_log = name.endswith(".seg")
+            if is_log:
+                self._log_start = self._held()  # the log starts after the blocks
             # the log is read only as far as the manifest committed it
             records, good = segcodec.read_segment(
                 path, tolerate_tail=is_log, frames=self._frames, detections=self._detections,
-                size=manifest["log_bytes"] if is_log else -1)
+                size=manifest["log_bytes"] if is_log else -1, place=self._place)
             if is_log:
                 if self.mode == "rw":
                     _cut(path, good)
                 self._log_bytes = good
             self._activities.extend(records)  # the records left are activities
-            if not is_log:
-                self._log_start = self._held()  # the log, if any, starts after the last block
         self._durable = self._held()
+        if not self._has_log():
+            self._log_start = self._durable
         self._label_summaries = [_label_summary_from_row(r) for r in manifest["labels"]]
         self._activity_summaries = [_activity_summary_from_row(r) for r in manifest["activities"]]
         self._coverage = [tuple(c) for c in manifest["coverage"]]
@@ -473,12 +541,13 @@ class Store:
     def append(self, record: FeedRecord) -> None:
         if self.mode != "rw":
             raise ReadOnlyStore("store opened read-only")
-        frame_exists = lambda f: self._frames.position(f) >= 0
+        frame_exists = lambda f: self._frames.position(f) >= 0 or self._cold_frame(f) is not None
         validate_record(record, frame_exists=frame_exists)
         if isinstance(record, FrameMeta):
-            if record.frame_id <= self.max_frame_id:
+            last = self._last_frame()
+            if last is not None and record.frame_id <= last[0]:
                 raise InvalidRecord("frame_id", "frame ids must be strictly increasing")
-            if self._frames and ts_to_micros(record.ts) < self._frames.ts_us[-1]:
+            if last is not None and ts_to_micros(record.ts) < last[1]:
                 raise InvalidRecord("ts", "timestamps must be non-decreasing")
         data = segcodec.encode_record(record)
         self._pending.append(data)
@@ -489,7 +558,10 @@ class Store:
             return
         rec = segcodec.decode_payload(data[0], data[3:-4])
         if isinstance(rec, Detection):
-            self._detections.append(self._frames.position(rec.frame_id), rec)
+            pos = self._frames.position(rec.frame_id)
+            if pos < 0:  # a sighting of a frame in a cold block
+                pos = self._place(array("q", (rec.frame_id,)))[0]
+            self._detections.append(pos, rec)
             return
         self._activities.append(rec)
         if rec.provenance == "ingested":  # an ingested event is itself analyzed time
@@ -522,24 +594,41 @@ class Store:
         self._commit()
 
     def _held(self) -> tuple[int, int, int]:
-        return len(self._frames), len(self._detections), len(self._activities)
+        return self.frame_count(), len(self._detections), len(self._activities)
 
     def _has_log(self) -> bool:
         return bool(self._segments) and self._segments[-1].endswith(".seg")
 
     def _seal(self, end: tuple[int, int, int]) -> None:
         """Write the log's records, and the pending ones up to `end`, as a
-        block that takes the log's place (and number) in the segment list."""
+        frame block, which joins the block directory, and a detection block,
+        which takes the log's place in the segment list. Both take the log's
+        number; a block that would be empty is not written."""
         has_log = self._has_log()
-        name = self._segments[-1][:-len(".seg")] + ".blk" if has_log else self._new_name(".blk")
-        _write_durable(os.path.join(self.root, "segments", name), segcodec.encode_block(
-            self._frames, self._detections, self._activities, self._log_start, end))
+        stem = self._segments[-1][:-len(".seg")] if has_log else self._new_name("")
+        (f0, d0, a0), (f1, d1, a1) = self._log_start, end
+        block = self._write_frame_block(stem + ".frames", f0, f1) if f1 > f0 else None
+        sealed = [stem + ".blk"] if d1 > d0 or a1 > a0 else []
+        for name in sealed:
+            _write_durable(os.path.join(self.root, "segments", name), segcodec.encode_detection_block(
+                self._detections, self._activities, (d0, a0), (d1, a1)))
+        if block is not None:
+            self._blocks.append(block)
         if has_log:
-            self._segments[-1] = name
-        else:
-            self._segments.append(name)
+            self._segments.pop()
+        self._segments += sealed
         self._log_start = end
         self._log_bytes = 0
+
+    def _write_frame_block(self, name: str, start: int, end: int) -> FrameBlock:
+        """Write frames start:end (counted over the whole table, and
+        resident) as a frame block; return its directory entry."""
+        frames = self._frames
+        lo, hi = start - self._cold_frames, end - self._cold_frames
+        _write_durable(os.path.join(self.root, "segments", name),
+                       segcodec.encode_frame_block(frames, lo, hi))
+        return FrameBlock(name, frames.frame_id[lo], frames.frame_id[hi - 1],
+                          frames.ts_us[lo], frames.ts_us[hi - 1], hi - lo)
 
     def _append_log(self, data: bytes) -> None:
         """Append records to the log, starting one if there is none. Bytes
@@ -593,6 +682,8 @@ class Store:
         _write_durable(path + ".tmp", _json_bytes({
             "version": FORMAT_VERSION,
             "segment_max_records": self._segment_max,
+            "frames": [list(b) for b in state("_blocks")],
+            "hot_from_us": state("_hot_from_us"),
             "segments": state("_segments"),
             "log_bytes": state("_log_bytes"),
             "next_segment_no": self._next_segment_no,
@@ -617,7 +708,8 @@ class Store:
 
     def _named_files(self) -> list[str]:
         """The files in segments/ that the manifest names."""
-        return self._segments + ([self._tracks_file] if self._tracks_file else [])
+        return ([b.name for b in self._blocks] + self._segments
+                + ([self._tracks_file] if self._tracks_file else []))
 
     def _sweep(self) -> None:
         """Delete every file in segments/ that the manifest does not name:
@@ -665,16 +757,27 @@ class Store:
 
     def frame_by_id(self, frame_id: int) -> FrameMeta:
         pos = self._frames.position(frame_id)
-        if pos < 0:
+        if pos >= 0:
+            return self._frames.frame(pos)
+        cold = self._cold_frame(frame_id)
+        if cold is None:
             raise KeyError(frame_id)
-        return self._frames.frame(pos)
+        return cold[0].frame(cold[1])
+
+    def _last_frame(self) -> Optional[tuple[int, int]]:
+        """The (frame id, ts_us) of the newest frame, if any."""
+        frames = self._frames
+        if frames:
+            return frames.frame_id[-1], frames.ts_us[-1]
+        return (self._blocks[-1].last_id, self._blocks[-1].last_ts_us) if self._blocks else None
 
     @property
     def max_frame_id(self) -> int:
-        return self._frames.frame_id[-1] if self._frames else -1
+        last = self._last_frame()
+        return -1 if last is None else last[0]
 
     def frame_count(self) -> int:
-        return len(self._frames)
+        return self._cold_frames + len(self._frames)
 
     def labels(self) -> list[str]:
         out = set(self._detections.labels)  # every interned label has a detection
@@ -682,28 +785,119 @@ class Store:
         return sorted(out)
 
     def time_bounds(self) -> Optional[TimeRange]:
-        if not self._frames:
+        """The first and last frame's timestamps, read off the block
+        directory where they are cold."""
+        last = self._last_frame()
+        if last is None:
             return None
-        ts_us = self._frames.ts_us
-        return TimeRange(ts_from_micros(ts_us[0]), ts_from_micros(ts_us[-1]))
+        first_us = self._blocks[0].first_ts_us if self._blocks else self._frames.ts_us[0]
+        return TimeRange(ts_from_micros(first_us), ts_from_micros(last[1]))
 
     def frames_in_range(self, rng: TimeRange) -> list[int]:
-        """Frame ids with ts in the closed range, ascending."""
-        ts_us = self._frames.ts_us
-        lo = bisect_left(ts_us, ts_to_micros(rng.start))
-        hi = bisect_right(ts_us, ts_to_micros(rng.end))
-        return self._frames.frame_id[lo:hi].tolist()
+        """Frame ids with ts in the closed range, ascending. Cold frame
+        blocks that meet the range are read through the cache."""
+        lo_us, hi_us = ts_to_micros(rng.start), ts_to_micros(rng.end)
+        out: list[int] = []
+        for i in range(bisect_left(self._blocks, lo_us, 0, self._resident_from, key=_LAST_TS),
+                       self._resident_from):
+            if self._blocks[i].first_ts_us > hi_us:
+                break
+            block = self._cold_block(i)
+            lo, hi = block.window(lo_us, hi_us)
+            out += block.frame_id[lo:hi].tolist()
+        lo, hi = self._frames.window(lo_us, hi_us)
+        resident = self._frames.frame_id[lo:hi].tolist()
+        return out + resident if out else resident
 
     def _frame_window(self, rng: Optional[TimeRange]) -> tuple[int, int]:
-        """Half-open window of frame positions with ts in the closed range
-        (or every frame). It is read off frames_in_range, so that a ranged
+        """Half-open window of resident frame positions with ts in the
+        closed range (or every resident frame): the frames that detections
+        can be held for. It is read off frames_in_range, so that a ranged
         label probe is one more frames_in_range call in a trace of the store
-        (perfbench's traced runs time that call in every workload)."""
+        (perfbench's traced runs time that call in every workload); the
+        range is first cut to the resident frames, so no cold block is
+        read."""
+        frames = self._frames
         if rng is None:
-            return 0, len(self._frames)
+            return 0, len(frames)
+        if not frames:
+            return 0, 0
+        first_us = frames.ts_us[0]
+        if ts_to_micros(rng.start) < first_us:
+            if ts_to_micros(rng.end) < first_us:
+                return 0, 0
+            rng = TimeRange(ts_from_micros(first_us), rng.end)
         ids = self.frames_in_range(rng)
-        lo = self._frames.position(ids[0]) if ids else 0
-        return lo, lo + len(ids)
+        cold = bisect_left(ids, frames.frame_id[0])  # cold frames that share the first ts
+        lo = frames.position(ids[cold]) if cold < len(ids) else 0
+        return lo, lo + len(ids) - cold
+
+    # ---------------------------------------------------------- frame blocks
+
+    def _read_frame_block(self, block: FrameBlock, frames: segcodec.FrameColumns) -> None:
+        """Append a frame block's frames to `frames`; raises CorruptSegment
+        if the block fails its CRC or does not hold what the directory says."""
+        n = len(frames)
+        segcodec.read_segment(os.path.join(self.root, "segments", block.name),
+                              tolerate_tail=False, frames=frames)
+        ids = frames.frame_id
+        if len(ids) - n != block.count or block.count and (ids[n], ids[-1]) != (
+                block.first_id, block.last_id):
+            raise CorruptSegment(f"{block.name}: frames do not match the block directory")
+
+    def _cold_block(self, i: int) -> segcodec.FrameColumns:
+        """The frames of cold block i, through a cache of COLD_BLOCKS_HELD blocks."""
+        name = self._blocks[i].name
+        frames = self._cold.pop(name, None)
+        if frames is None:
+            frames = segcodec.FrameColumns()
+            self._read_frame_block(self._blocks[i], frames)
+            if len(self._cold) >= COLD_BLOCKS_HELD:
+                self._cold.popitem(last=False)
+        self._cold[name] = frames
+        return frames
+
+    def _cold_index(self, frame_id: int) -> int:
+        """The index of the cold block whose id range holds a frame id, or -1."""
+        i = bisect_right(self._blocks, frame_id, 0, self._resident_from, key=_FIRST_ID) - 1
+        return i if i >= 0 and frame_id <= self._blocks[i].last_id else -1
+
+    def _cold_frame(self, frame_id: int) -> Optional[tuple[segcodec.FrameColumns, int]]:
+        """The cold block's frames that hold a frame id and its position
+        there, or None if no cold block holds it."""
+        i = self._cold_index(frame_id)
+        if i < 0:
+            return None
+        frames = self._cold_block(i)
+        pos = frames.position(frame_id)
+        return (frames, pos) if pos >= 0 else None
+
+    def _place(self, frame_ids: array) -> array:
+        """The resident positions of frame ids (-1 for an id no frame block
+        holds). A cold id first makes its block, and every block after it,
+        resident (_reside_from)."""
+        positions = self._frames.positions(frame_ids)
+        if self._resident_from and frame_ids and min(positions) < 0:
+            i = self._cold_index(min(frame_ids))
+            if i >= 0:
+                self._reside_from(i)
+                positions = self._frames.positions(frame_ids)
+        return positions
+
+    def _reside_from(self, i: int) -> None:
+        """Make frame blocks i.. resident: put the frames of the cold ones
+        among them before the resident frames. Every held detection's
+        position moves up by the frames put before it."""
+        older = segcodec.FrameColumns()
+        for block in self._blocks[i:self._resident_from]:
+            self._read_frame_block(block, older)
+            self._cold.pop(block.name, None)
+        for name in older.__slots__:
+            getattr(self._frames, name)[0:0] = getattr(older, name)
+        at = self._detections.position
+        at[:] = array("q", map(add, at, repeat(len(older))))
+        self._resident_from = i
+        self._cold_frames -= len(older)
 
     def find_by_label(self, label: str, rng: Optional[TimeRange] = None,
                       order: str = "asc", limit: Optional[int] = None,
@@ -754,7 +948,7 @@ class Store:
                                            for k in ((kind,) if kind is not None else KINDS)),
                            reverse=desc)
         summaries = self._label_summaries
-        return [LabelHit(n, ts, dets) if is_raw else LabelHit(-1, ts, dets, summaries[n])
+        return [LabelHit(n, ts, self) if is_raw else LabelHit(-1, ts, self, summaries[n])
                 for ts, _frame_id, is_raw, n in islice(keys, limit)]
 
     def has_sighting(self, frame_id: int, label: str, kind: str) -> bool:
@@ -898,8 +1092,11 @@ class Store:
         """Roll raw detections/activities older than the hot window into hourly
         summaries, and hourly summaries older than the warm window into daily
         ones. Frame metadata survives in every tier so reprocessing can still
-        target frames. Rewrites segments; raw records in migrated ranges are
-        gone afterwards.
+        target frames: no frame block is rewritten, the log's frames are
+        sealed into a new one, and the detection blocks are written afresh.
+        Raw records in migrated ranges are gone afterwards. The hot cutoff is
+        recorded, and an open makes only the frame blocks that meet it
+        resident.
 
         Both kinds of summary row take the same two steps: new hourly rows
         merge into the hourly row of their key, or are appended
@@ -953,10 +1150,11 @@ class Store:
                 for bucket_us, seconds in bucket_seconds(
                     ts_to_micros(ev.start), ts_to_micros(ev.end), HOUR_US)], _merge_activities)
             activities = _roll_daily(activities, warm_us, _merge_activities)[0]
-            summaries = dict(_label_summaries=labels, _activity_summaries=activities)
+            summaries = dict(_label_summaries=labels, _activity_summaries=activities,
+                             _hot_from_us=hot_us)
 
             if report.detections_migrated or report.activities_migrated:
-                self._rewrite_segments(keep, keep_activities, _refine_cursor=bisect_left(
+                self._rewrite_detections(keep, keep_activities, _refine_cursor=bisect_left(
                     keep, self._refine_cursor), **summaries)
             else:
                 self._commit(**summaries)
@@ -983,24 +1181,29 @@ class Store:
             loc=loc, detect_prob=1.0 - miss,
         )
 
-    def _rewrite_segments(self, keep: list[int], activities: list[ActivityEvent], **new) -> None:
-        """Write the store afresh as blocks of frames, then the kept
-        detections (by seq), then `activities`, segment_max_records each,
-        and commit them with `new` (see _commit). A migration leaves the
-        frame table as it is, so the kept detections keep their frame
+    def _rewrite_detections(self, keep: list[int], activities: list[ActivityEvent],
+                            **new) -> None:
+        """Seal the log's frames into a frame block, write the kept
+        detections (by seq), then `activities`, as detection blocks of
+        segment_max_records each, and commit them with `new` (see _commit).
+        No frame block is rewritten, so the kept detections keep their frame
         positions; coverage is historical fact and stays as it is."""
-        frames, dets = self._frames, self._detections.select(keep)
-        counts = (len(frames), len(dets), len(activities))
+        f0, f1 = self._log_start[0], self._durable[0]
+        blocks = self._blocks + ([self._write_frame_block(self._new_name(".frames"), f0, f1)]
+                                 if f1 > f0 else [])
+        dets = self._detections.select(keep)
+        counts = (len(dets), len(activities))
         names = []
         for lo in range(0, sum(counts), self._segment_max):
             name = self._new_name(".blk")
-            _write_durable(os.path.join(self.root, "segments", name), segcodec.encode_block(
-                frames, dets, activities, _split(counts, lo),
+            _write_durable(os.path.join(self.root, "segments", name), segcodec.encode_detection_block(
+                dets, activities, _split(counts, lo),
                 _split(counts, min(lo + self._segment_max, sum(counts)))))
             names.append(name)
-        # its sweep deletes the old generation
-        self._commit(compact=True, _segments=names, _log_bytes=0, _log_start=counts,
-                     _durable=counts, _detections=dets, _activities=activities, **new)
+        held = (f1, *counts)
+        # its sweep deletes the old detection blocks and the log
+        self._commit(compact=True, _blocks=blocks, _segments=names, _log_bytes=0, _log_start=held,
+                     _durable=held, _detections=dets, _activities=activities, **new)
 
     # ------------------------------------------------------------------ stats
 
@@ -1011,7 +1214,7 @@ class Store:
 
     def stats(self) -> StoreStats:
         nbytes = self._bytes_on_disk()
-        frames = len(self._frames)
+        frames = self.frame_count()
         return StoreStats(
             bytes_on_disk=nbytes,
             frames=frames,
@@ -1020,15 +1223,16 @@ class Store:
             bytes_per_frame=nbytes / max(frames, 1),
             refine_state_bytes=self._tracks_bytes,
             refine_log_rows=self._tracks_rows,
+            frame_blocks=len(self._blocks),
+            resident_frame_blocks=len(self._blocks) - self._resident_from + len(self._cold),
         )
 
 
-def _split(counts: tuple[int, int, int], k: int) -> tuple[int, int, int]:
-    """How many frames, detections and activities the first k records hold,
-    with `counts` of each written in that order."""
-    frames = min(k, counts[0])
-    detections = min(k - frames, counts[1])
-    return frames, detections, k - frames - detections
+def _split(counts: tuple[int, int], k: int) -> tuple[int, int]:
+    """How many detections and activities the first k records hold, with
+    `counts` of each written in that order."""
+    detections = min(k, counts[0])
+    return detections, k - detections
 
 
 def bucket_seconds(start_us: int, end_us: int, width_us: int) -> Iterator[tuple[int, float]]:

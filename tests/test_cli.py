@@ -263,6 +263,11 @@ def test_migrate_and_stats(loaded, capsys):
     rc, after = run_json(capsys, ["--store", store, "--format", "json", "stats"])
     assert rc == 0 and after["detections"] == 0
     assert after["frames"] == before["frames"]
+    # the migration sealed the log's frames into a frame block; the hot
+    # window holds none of them, so an open leaves the block cold
+    assert before["frame_blocks"] == before["resident_frame_blocks"]
+    assert after["frame_blocks"] == before["frame_blocks"] + 1
+    assert after["resident_frame_blocks"] == 0
 
 
 def test_coarse_answer_flagged(loaded, capsys):

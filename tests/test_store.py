@@ -43,7 +43,8 @@ from robomem.segment import (
     DetectionColumns,
     FrameColumns,
     decode_payload,
-    encode_block,
+    encode_detection_block,
+    encode_frame_block,
     encode_record,
     framed_records,
     scan_segment,
@@ -80,9 +81,17 @@ def _read(path):
         return fh.read()
 
 
+def _frame_blocks(root):
+    return [row[0] for row in _manifest(root)["frames"]]
+
+
+def _frame_block_bytes(root):
+    return {n: _read(os.path.join(root, "segments", n)) for n in _frame_blocks(root)}
+
+
 def _named_files(root):
     m = _manifest(root)
-    return set(m["segments"]) | ({m["tracks"]} if m["tracks"] else set())
+    return set(m["segments"]) | set(_frame_blocks(root)) | ({m["tracks"]} if m["tracks"] else set())
 
 
 def test_append_flush_read_back(store):
@@ -146,14 +155,15 @@ def test_newer_version_refused(tmp_path, store):
     # with an old tracks.json, version 3 with its tier summaries and
     # coverage in summaries.json and coverage.json, version 4 with its
     # refine state in tracks.json, version 5 with every segment a record
-    # log, version 6 with a count in each activity summary row, and
-    # version 7 with its refine state as one JSON document; nothing converts
-    # them
+    # log, version 6 with a count in each activity summary row, version 7
+    # with its refine state as one JSON document, and version 8 with a
+    # segment's frames and detections sealed into one block; nothing
+    # converts them
     store.close()
     p = os.path.join(store.root, "manifest.json")
     with open(p) as fh:
         m = json.load(fh)
-    for version in (99, 1, 2, 3, 4, 5, 6, 7):
+    for version in (99, 1, 2, 3, 4, 5, 6, 7, 8):
         m["version"] = version
         with open(p, "w") as fh:
             json.dump(m, fh)
@@ -208,7 +218,8 @@ def test_writer_reads_the_manifest_under_the_lock(tmp_path, monkeypatch):
         with Store.open(root) as other:
             for fm in frames[16:30]:
                 other.append(fm)
-        assert len(_manifest(root)["segments"]) == 2
+        # the first segment is sealed (a frame block: it holds no detection)
+        assert len(_frame_blocks(root)) == len(_manifest(root)["segments"]) == 1
         real_acquire(self)
 
     monkeypatch.setattr(Store, "_acquire_lock", commit_first)
@@ -453,7 +464,7 @@ def test_damaged_tail_opens_as_record_walk(tmp_path, migrated):
     frames and detections, and the log cut back to the same offset. The
     blocks before the log were sealed by flushes, or, in a migrated store,
     written by the migration before the rest of the feed came in. Damage in
-    a block is corruption."""
+    a detection block is corruption."""
     _gt, records = generate_scenario(small_scenario(seed=8, minutes=1.5))
     frames = [r for r in records if isinstance(r, FrameMeta)]
     cut = records.index(frames[len(frames) * 2 // 3]) if migrated else len(records)
@@ -471,7 +482,9 @@ def test_damaged_tail_opens_as_record_walk(tmp_path, migrated):
     assert all(n.endswith(".blk") for n in names[:-1]) and names[-1].endswith(".seg")
     paths = [os.path.join(root, "segments", n) for n in names]
     blobs = [_read(path) for path in paths]
-    earlier = [r for blob in blobs[:-1] for r in scan_segment(blob)[0]]
+    earlier = [r for n in _frame_blocks(root)
+               for r in scan_segment(_read(os.path.join(root, "segments", n)))[0]]
+    earlier += [r for blob in blobs[:-1] for r in scan_segment(blob)[0]]
     last = blobs[-1]
     tail = scan_segment(last)[0]
     assert any(isinstance(r, Detection) for r in tail)
@@ -509,20 +522,30 @@ def test_damaged_tail_opens_as_record_walk(tmp_path, migrated):
 
 
 def test_damaged_block_is_corruption(tmp_path):
-    """A block bit-flipped or cut anywhere fails the open, read-only and
+    """A block bit-flipped or cut anywhere is corruption, read-only and
     read-write, and is left as it is, also when it is the last file the
-    manifest names: a block is never cut back like a log's tail."""
-    s, _gt, _records = migration_fixture(tmp_path)
-    s.close()
-    _set_segment_max(s.root, 400)
+    manifest names: a block is never cut back like a log's tail. A
+    detection block or a resident frame block fails the open; a cold frame
+    block fails the first read of its frames."""
+    _gt, records = generate_scenario(small_scenario(seed=9, minutes=3.0))
+    oldest = next(r for r in records if isinstance(r, FrameMeta))
+    root = str(tmp_path / "s")
+    Store.create(root).close()
+    _set_segment_max(root, 200)
     policy = TierPolicy(hot_window=timedelta(days=7))
-    with Store.open(s.root) as s:  # a migration writes every segment as a block
-        s.migrate_tiers(s.time_bounds().start + timedelta(seconds=90) + policy.hot_window, policy)
+    with Store.open(root) as s:  # flushes seal frame blocks; the migration writes detection blocks
+        ingest_stream(iter(records), s)
+        s.migrate_tiers(oldest.ts + timedelta(seconds=90) + policy.hot_window, policy)
         assert s.detection_count() > 0
-    names = _manifest(s.root)["segments"]
+    names = _manifest(root)["segments"]
     assert len(names) >= 2 and all(n.endswith(".blk") for n in names)
+    blocks = _frame_blocks(root)
+    with Store.open(root, mode="ro") as s:
+        stats = s.stats()
+    assert 0 < stats.resident_frame_blocks < stats.frame_blocks == len(blocks)
     rng = random.Random(12)
-    for path in (os.path.join(s.root, "segments", n) for n in (names[0], names[-1])):
+    for name, cold in ((names[0], False), (names[-1], False), (blocks[0], True), (blocks[-1], False)):
+        path = os.path.join(root, "segments", name)
         block = _read(path)
         for trial in range(40):
             data = bytearray(block)
@@ -533,12 +556,18 @@ def test_damaged_block_is_corruption(tmp_path):
             with open(path, "wb") as fh:
                 fh.write(data)
             for mode in ("ro", "rw"):
-                with pytest.raises(CorruptSegment):
-                    Store.open(s.root, mode=mode)
+                if cold:
+                    with Store.open(root, mode=mode) as s:
+                        with pytest.raises(CorruptSegment):
+                            s.frame_by_id(oldest.frame_id)
+                else:
+                    with pytest.raises(CorruptSegment):
+                        Store.open(root, mode=mode)
                 assert _read(path) == data
         with open(path, "wb") as fh:
             fh.write(block)
-    Store.open(s.root, mode="ro").close()
+    with Store.open(root, mode="ro") as s:
+        assert s.frame_by_id(oldest.frame_id) == served_frames([oldest])[0]
 
 
 def test_log_walk_ends_at_an_unknown_detection_kind():
@@ -603,14 +632,20 @@ def test_block_round_trip(steps, poses, labels, confidences, split):
     dets = DetectionColumns(frames)
     activities, _good = scan_segment(log, frames, dets)
     counts = (len(frames), len(dets), len(activities))
-    whole = encode_block(frames, dets, activities, (0, 0, 0), counts)
-    got, good = scan_segment(whole)
-    assert good == len(whole) and _records_by_type(got) == _records_by_type(walked)
 
-    # two blocks, split after a prefix of the records, as a seal splits the log
+    def seal(start, end):
+        """A segment's frame block and detection block, as a seal writes them."""
+        return [encode_frame_block(frames, start[0], end[0]),
+                encode_detection_block(dets, activities, start[1:], end[1:])]
+    whole = seal((0, 0, 0), counts)
+    got = [scan_segment(block) for block in whole]
+    assert [good for _records, good in got] == list(map(len, whole))
+    assert _records_by_type(got[0][0] + got[1][0]) == _records_by_type(walked)
+
+    # two segments, split after a prefix of the records, as a seal splits the
+    # log; each frame block is read before its detection block
     middle = tuple(len(t) for t in _records_by_type(records[:round(len(records) * split)]))
-    blocks = [encode_block(frames, dets, activities, (0, 0, 0), middle),
-              encode_block(frames, dets, activities, middle, counts)]
+    blocks = seal((0, 0, 0), middle) + seal(middle, counts)
     frames2 = FrameColumns()
     dets2 = DetectionColumns(frames2)
     activities2 = []
@@ -734,9 +769,10 @@ def test_frame_table_matches_records(tmp_path):
     now = frames[len(frames) // 2].ts + timedelta(days=7)
     assert s.migrate_tiers(now, TierPolicy(hot_window=timedelta(days=7))).detections_migrated
     assert_frame_table(s, frames)
-    migrated = [r for n in _manifest(root)["segments"]
+    # the migration sealed the log's frames into a frame block
+    migrated = [r for n in _frame_blocks(root)
                 for r in scan_segment(_read(os.path.join(root, "segments", n)))[0]]
-    assert [r for r in migrated if isinstance(r, FrameMeta)] == frames
+    assert migrated == frames
     s.close()
     s = Store.open(root, mode="ro")
     assert_frame_table(s, frames)
@@ -1037,6 +1073,79 @@ def test_migration_retains_frames_for_reprocessing(tmp_path):
     s.close()
 
 
+def daily_sessions(days, minutes=1.0):
+    """A sparse feed: one short session a day, as one list of records per
+    day, frame ids running on from day to day."""
+    out = []
+    for day in range(days):
+        cfg = small_scenario(seed=30 + day, minutes=minutes, start_time=T0 + timedelta(days=day))
+        _gt, session = generate_scenario(cfg)
+        out.append([r if isinstance(r, ActivityEvent)
+                    else dataclasses.replace(r, frame_id=r.frame_id + day * cfg.frame_count)
+                    for r in session])
+    return out
+
+
+def test_open_holds_the_hot_window(tmp_path):
+    """Days of sessions, each ingested, refined and migrated at the day's
+    end with a 2-day hot window. After each migration a read-only open holds
+    at most the hot window's frames plus one frame block, and counts every
+    frame; reads of the first day's frames, from cold blocks, give what the
+    feed holds in the writer and after the reopen. A sighting appended for
+    a cold frame, as a reprocess appends it, makes its block resident and
+    reads the same after a reopen."""
+    sessions = daily_sessions(6)
+    root = str(tmp_path / "s")
+    Store.create(root).close()
+    _set_segment_max(root, 200)  # several frame blocks a day
+    policy = TierPolicy(hot_window=timedelta(days=2))
+    day0 = served_frames(sessions[0])
+    first_day = TimeRange(day0[0].ts, day0[-1].ts)
+    want = ([f.frame_id for f in day0], day0)
+    seen = []
+    with Store.open(root) as s:
+        for day, session in enumerate(sessions):
+            ingest_stream(iter(session), s)
+            run_refinement_pass(s)
+            seen += served_frames(session)
+            now = T0 + timedelta(days=day + 1)
+            s.migrate_tiers(now, policy)
+            reader = Store.open(root, mode="ro")
+            stats = reader.stats()
+            assert stats.frames == len(seen) and reader.time_bounds() == s.time_bounds()
+            counts = [row[5] for row in _manifest(root)["frames"]]
+            resident = stats.frames - sum(counts[:stats.frame_blocks - stats.resident_frame_blocks])
+            hot = sum(f.ts >= now - policy.hot_window for f in seen)
+            assert resident <= hot + max(counts)
+            cold = stats.frame_blocks - stats.resident_frame_blocks
+            assert (cold > 0) == (day >= 2)
+            reads = [(st.frames_in_range(first_day), [st.frame_by_id(f.frame_id) for f in day0])
+                     for st in (s, reader)]
+            assert reads == [want, want]
+            # the cold blocks of day 0 are held once read, up to the cache's capacity
+            assert reader.stats().resident_frame_blocks - stats.resident_frame_blocks == min(
+                cold, sum(row[1] <= day0[-1].frame_id for row in _manifest(root)["frames"]),
+                store_module.COLD_BLOCKS_HELD)
+            reader.close()
+
+    # a sighting of a day-0 frame, appended late as reprocessing does
+    late = Detection(day0[5].frame_id, "cup", "object", 0.9)
+    with Store.open(root) as s:
+        cold = s.stats()
+        held = (s.detections_from(0), s.frames_in_range(first_day))
+        s.append(late)
+        assert s.stats().resident_frame_blocks == cold.frame_blocks > cold.resident_frame_blocks
+        assert s.has_sighting(late.frame_id, "cup", "object")
+        held = (s.frame_count(), held[0] + [(len(held[0]), late)], held[1])
+        assert (s.frame_count(), s.detections_from(0), s.frames_in_range(first_day)) == held
+    for mode in ("ro", "rw"):
+        with Store.open(root, mode=mode) as reader:
+            hits = reader.find_by_label("cup", rng=first_day)
+            assert [(h.frame, h.detection) for h in hits if not h.coarse] == [(day0[5], late)]
+            assert (reader.frame_count(), reader.detections_from(0),
+                    reader.frames_in_range(first_day)) == held
+
+
 def _sightings(store):
     """Each label's raw hits plus the counts of its tier summaries."""
     return {label: sum(h.count for h in store.find_by_label(label)) for label in store.labels()}
@@ -1055,6 +1164,28 @@ def _prepare_migrate(s, _gt, _rest):
     policy = TierPolicy(hot_window=timedelta(days=7))
     now = s.time_bounds().start + timedelta(seconds=90) + policy.hot_window
     return lambda: s.migrate_tiers(now, policy)
+
+
+def _prepare_migrate_cold(s, _gt, rest):
+    """A second migration, by a writer whose open left the frame blocks
+    before the first migration's hot cutoff cold."""
+    run_refinement_pass(s)
+    policy = TierPolicy(hot_window=timedelta(days=7))
+    start = s.time_bounds().start
+    s.migrate_tiers(start + timedelta(seconds=60) + policy.hot_window, policy)
+    for r in rest:
+        s.append(r)
+    s.close()
+    writer = Store.open(s.root)
+    stats = writer.stats()
+    assert stats.resident_frame_blocks < stats.frame_blocks
+
+    def migrate():
+        try:
+            writer.migrate_tiers(start + timedelta(seconds=120) + policy.hot_window, policy)
+        finally:
+            writer.close(flush=False)
+    return migrate
 
 
 def _prepare_reprocess(s, gt, _rest):
@@ -1081,20 +1212,25 @@ def _prepare_compact(s, gt, rest):
     return flush
 
 
-@pytest.mark.parametrize("prepare", [_prepare_flush, _prepare_migrate, _prepare_reprocess,
-                                     _prepare_refine_append, _prepare_compact],
-                         ids=["flush", "migrate", "reprocess", "refine-append", "compact"])
+@pytest.mark.parametrize("prepare", [_prepare_flush, _prepare_migrate, _prepare_migrate_cold,
+                                     _prepare_reprocess, _prepare_refine_append, _prepare_compact],
+                         ids=["flush", "migrate", "migrate-cold", "reprocess", "refine-append",
+                              "compact"])
 def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepare):
-    """For every k, the k-th os.replace, apart the k-th os.fsync, and apart
-    the k-th append to a log (torn: half its bytes written, then an error),
+    """For every k, the k-th os.replace, apart the k-th os.fsync, apart the
+    k-th append to a log, and apart the k-th write of a whole file (a block
+    or manifest.json.tmp; both torn: half its bytes written, then an error),
     of an operation fails: a flush after a refinement pass, a migration, a
+    second migration by a writer that holds the oldest frame blocks cold, a
     reprocess, a flush that appends a pass's rows to a committed .tracks
     log, or one that compacts that log. A read-write reopen then holds what
     the store held before the operation or after it: every label's raw hits
     plus summary counts, the raw detection count, the activities, the
     analyzed time, the tracks and the refine cursor. The next pass refines
     the detections past the cursor. segments/ holds just the files the
-    manifest names, and they and the manifest are the bytes on disk."""
+    manifest names, and they and the manifest are the bytes on disk; every
+    frame block named before the operation is still named, with the same
+    bytes."""
     gt, records = generate_scenario(small_scenario(seed=9, minutes=3.0))
     frames = [r for r in records if isinstance(r, FrameMeta)]
     cut = records.index(frames[len(frames) * 2 // 3])
@@ -1119,9 +1255,10 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
         st = Store.open(root)
         operation = prepare(st, gt, records[cut:])
         snapshot = Store.open(root, mode="ro")
-        committed = contents(snapshot), _manifest(root)["tracks"]
+        committed = contents(snapshot), _manifest(root)["tracks"], _frame_block_bytes(root)
         snapshot.close()
-        real = {"replace": os.replace, "fsync": os.fsync, "write": store_module._append_durable}
+        real = {"replace": os.replace, "fsync": os.fsync, "write": store_module._append_durable,
+                "write-whole": store_module._write_durable}
         calls = dict.fromkeys(real, 0)
 
         def counting(name):
@@ -1133,6 +1270,10 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
                         with open(path, "ab") as fh:
                             fh.truncate(size)
                             fh.write(data[:len(data) // 2])
+                    elif name == "write-whole":
+                        path, data = args
+                        with open(path, "wb") as fh:
+                            fh.write(data[:len(data) // 2])
                     raise OSError(f"injected failure at {name} #{k}")
                 return real[name](*args)
             return call
@@ -1142,6 +1283,7 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
             for name in ("replace", "fsync"):
                 m.setattr(os, name, counting(name))
             m.setattr(store_module, "_append_durable", counting("write"))
+            m.setattr(store_module, "_write_durable", counting("write-whole"))
             try:
                 operation()
             except OSError:
@@ -1149,9 +1291,11 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
         st.close(flush=False)
         return root, calls, failed, committed
 
-    def check(root, allowed):
+    def check(root, allowed, blocks):
         st = Store.open(root)  # read-write: deletes what the manifest does not name
         assert contents(st) in allowed
+        now = _frame_block_bytes(root)
+        assert {name: now[name] for name in blocks} == blocks
         named = _named_files(root)
         seg_dir = os.path.join(root, "segments")
         assert set(os.listdir(seg_dir)) == named
@@ -1165,27 +1309,30 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
         assert st.load_refine_state()["cursor"] == n
         st.close(flush=False)
 
-    root, calls, failed, (before, tracks_file) = attempt("clean")
+    root, calls, failed, (before, tracks_file, blocks) = attempt("clean")
     snapshot = Store.open(root, mode="ro")
     after = contents(snapshot)
     snapshot.close()
     assert not failed and after != before
-    check(root, [after])
-    assert calls["replace"] >= 1 and calls["fsync"] >= 2
-    # the flush seals the log and the migration writes the store as blocks,
-    # so every write of a seal is failed in turn below
+    check(root, [after], blocks)
+    assert calls["replace"] >= 1 and calls["fsync"] >= 2 and calls["write-whole"] >= 1
+    # every operation but the reprocess seals the log: a flush into a frame
+    # block and a detection block, a migration its frames into a frame block
+    # while it writes the kept detections as detection blocks; so every
+    # write of a block is failed in turn below
     written = {n for n in _manifest(root)["segments"] if n.endswith(".blk")} - set(
         _manifest(base)["segments"])
-    assert bool(written) == (prepare is not _prepare_reprocess)
+    sealed = set(_frame_blocks(root)) - set(blocks)
+    assert bool(written) == (len(sealed) == 1) == (prepare is not _prepare_reprocess)
     if prepare in (_prepare_refine_append, _prepare_compact):
         # appended to the committed log, or compacted into a fresh one
         assert (_manifest(root)["tracks"] == tracks_file) == (prepare is _prepare_refine_append)
         assert calls["write"] >= 1 + (prepare is _prepare_refine_append)
     for fail in calls:
         for k in range(1, calls[fail] + 1):
-            root, _calls, failed, _committed = attempt(f"{fail}{k}", fail, k)
+            root, _calls, failed, (_before, _tracks_file, blocks) = attempt(f"{fail}{k}", fail, k)
             assert failed
-            check(root, [before, after])
+            check(root, [before, after], blocks)
 
 
 @pytest.mark.parametrize("operation", ["append", "seal", "migrate", "refine-append"])

@@ -116,12 +116,18 @@ class IngestReport:
 def ingest_stream(source: Iterable[Union[FeedRecord, ParseError]], store: Store) -> IngestReport:
     """Append every valid record; a bad record, or a ParseError read_feed
     yields for a line, is counted and skipped without aborting the stream.
-    Flushes once at the end."""
+
+    Flushes each time the records appended since the last flush fill one
+    segment (the store's segment_max_records), and once at the end, so a
+    crash or a failing source loses at most one segment's records. A flush
+    seals where the records fill a segment whenever it runs, so the blocks
+    written are those of a single flush at the end."""
     report = IngestReport()
     t0 = time.perf_counter()
     with store.writer_role("ingest"):
         last_frame = store.max_frame_id
         current_frame = None  # last frame accepted in *this* stream
+        unflushed, segment = 0, store.segment_max_records
         for rec in source:
             try:
                 if isinstance(rec, ParseError):
@@ -147,6 +153,11 @@ def ingest_stream(source: Iterable[Union[FeedRecord, ParseError]], store: Store)
                 report.rejected += 1
                 if len(report.errors) < MAX_ERRORS:
                     report.errors.append(str(e))
+                continue
+            unflushed += 1
+            if unflushed == segment:
+                store.flush()
+                unflushed = 0
         store.flush()
     report.elapsed_seconds = time.perf_counter() - t0
     report.rate_fps = report.frames / report.elapsed_seconds if report.elapsed_seconds > 0 else 0.0

@@ -16,7 +16,8 @@ On-disk layout under the store root:
                           is immutable, and there is one per (what, tier,
                           bucket), what being a label and kind or a subject
                           and activity: a migration merges into a bucket's
-                          row rather than add a second.
+                          row rather than add a second. A label row holds
+                          the robot's x and y summed (LabelSummary.loc).
     segments/NNNN.frames  a frame block (segment.encode_frame_block): the
                           frames of one sealed segment as zlib'd columns
                           under one CRC. The directory lists each as [name,
@@ -53,20 +54,21 @@ On-disk layout under the store root:
                           and how many tracks and rows the log holds up to
                           it. The last row of a track id wins, and the
                           tracks are in the order their ids first appear.
-                          A flush after a refinement that changed k tracks
-                          appends their k rows and a state record, and the
-                          manifest records the committed length, which ends
-                          in a state record; bytes past it are treated as
-                          the log's are. A migration, a state saved without
-                          a change set, or a log that would hold more than
-                          twice as many rows as tracks is instead written
-                          whole (compacted) to a fresh file under a new
-                          number from the segments' counter, before the
-                          manifest that names it.
+                          A commit appends the rows of the tracks changed
+                          since the last (none for a migration, which only
+                          renumbers the cursor) and a state record, and the
+                          manifest records the committed length; bytes past
+                          it are treated as the log's are. A state saved
+                          without a change set, or a log that would hold
+                          more than twice as many rows as tracks, is
+                          instead written whole (compacted) to a fresh file
+                          under a new number from the segments' counter,
+                          before the manifest that names it.
     lock                  writer lock, held with flock by the writing process
 
-A file in segments/ that the manifest does not name is garbage: a commit
-deletes it right after the manifest rename, and so does a read-write open.
+A file in segments/ that the manifest does not name is garbage, and so are
+the .tracks log's bytes past its committed length: a commit drops both right
+after the manifest rename, and so does a read-write open.
 A crash at any point thus leaves the store as one manifest describes it,
 and a file is never renamed into place except the manifest.
 
@@ -98,7 +100,7 @@ is rebuilt at open, so no index file is written:
                       kind and confidence. Open scans detection records
                       straight into it; a Detection is built only at the
                       API boundary (detections_from, LabelHit.detection),
-                      and migration fuses and re-encodes straight from the
+                      and migration sums and re-encodes straight from the
                       columns. When the resident frames grow downward every
                       position moves up by the frames added, in one pass
                       over the column.
@@ -129,9 +131,10 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta
 from itertools import islice, repeat
+from math import prod
 from operator import add, attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -157,9 +160,9 @@ from .model import (
     ts_to_micros,
     validate_record,
 )
-from .refine import TrackIndex, fuse, index_tracks, observation_at, track_containing
+from .refine import TrackIndex, index_tracks, observation_at, track_containing
 
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 DEFAULT_SEGMENT_RECORDS = 8192
 # Cold frame blocks held decoded after a read, least recently used dropped
 # first: enough that reads spread over a few days of history do not reread
@@ -168,6 +171,7 @@ COLD_BLOCKS_HELD = 4
 
 HOUR_US = 3_600_000_000
 DAY_US = 24 * HOUR_US
+_OBS_VAR = observation_at(0.0, 0.0).cov[0][0]  # a sighting's variance per axis
 
 
 @dataclass(frozen=True)
@@ -199,12 +203,21 @@ class LabelSummary(_TierRow):
     last_frame: int
     first_ts_us: int
     last_ts_us: int
-    loc: LocationEstimate
+    sum_x: float  # the robot's x, summed over the sightings
+    sum_y: float
     detect_prob: float
 
     @property
     def key(self) -> tuple[str, str, str, int]:
         return self.label, self.kind, self.tier, self.bucket_us
+
+    @property
+    def loc(self) -> LocationEstimate:
+        """The product of the sightings' observations (observation_at the robot's
+        position): they share one covariance, so it is their mean, with _OBS_VAR / count."""
+        v = _OBS_VAR / self.count
+        return LocationEstimate((self.sum_x / self.count, self.sum_y / self.count),
+                                ((v, 0.0), (0.0, v)))
 
 
 @dataclass(frozen=True)
@@ -235,6 +248,7 @@ class FrameBlock(NamedTuple):
 
 _FIRST_ID = attrgetter("first_id")
 _LAST_TS = attrgetter("last_ts_us")
+_LABEL_ROW = attrgetter(*(f.name for f in fields(LabelSummary)))  # its manifest row
 
 
 @dataclass(frozen=True)
@@ -522,19 +536,16 @@ class Store:
         self._durable = self._held()
         if not self._has_log():
             self._log_start = self._durable
-        self._label_summaries = [_label_summary_from_row(r) for r in manifest["labels"]]
+        self._label_summaries = [LabelSummary(*row) for row in manifest["labels"]]
         self._activity_summaries = [_activity_summary_from_row(r) for r in manifest["activities"]]
         self._coverage = [tuple(c) for c in manifest["coverage"]]
         self._tracks_file = manifest["tracks"]
         if self._tracks_file is not None:
-            path = os.path.join(self.root, "segments", self._tracks_file)
             self._tracks_bytes = manifest["tracks_bytes"]
-            with open(path, "rb") as fh:
-                log = fh.read(self._tracks_bytes)
-            self._refine_cursor, self._next_track_id, _n, self._tracks_rows = _refine_state(log)
-            if self.mode == "rw":
-                _cut(path, self._tracks_bytes)
-            self._track_log = log
+            with open(os.path.join(self.root, "segments", self._tracks_file), "rb") as fh:
+                self._track_log = fh.read(self._tracks_bytes)
+            self._refine_cursor, self._next_track_id, _n, self._tracks_rows = _refine_state(
+                self._track_log)
 
     # ----------------------------------------------------------------- writes
 
@@ -640,21 +651,21 @@ class Store:
             self._segments.append(name)
         self._log_bytes += len(data)
 
-    def _commit(self, compact: bool = False, **new) -> None:
+    def _commit(self, **new) -> None:
         """Publish the segments, the refine state, the tier summaries and the
         coverage with one manifest rename, then delete every file in
         segments/ that the manifest does not name.
 
         A changed refine state first goes to the .tracks log: the rows of
-        the tracks changed since the last commit and a state record are
-        appended past its committed length, which the manifest then moves.
-        The state is instead written whole to a fresh .tracks file when
-        `compact` is set (a migration), when it was saved without a change
-        set, when there is no log yet, or when the log would hold more than
-        twice as many rows as tracks. Neither needs a tmp file or rename: no
-        reader reads past the committed length or opens a file before the
-        manifest names it, and if the commit fails the next one cuts the
-        appended rows off, or the fresh file is garbage.
+        the tracks changed since the last commit (none if only the cursor
+        moved, as in a migration) and a state record are appended past its
+        committed length, which the manifest then moves. The state is
+        instead written whole to a fresh .tracks file when it was saved
+        without a change set, when there is no log yet, or when the log
+        would hold more than twice as many rows as tracks. Neither needs a
+        tmp file or rename: no reader reads past the committed length or
+        opens a file before the manifest names it, and if the commit fails
+        the next one cuts the appended rows off, or the fresh file is garbage.
 
         `new` maps store attributes to the values to publish in place of
         their own (a migration's segments, summaries, cursor and tables);
@@ -665,17 +676,16 @@ class Store:
         cursor = state("_refine_cursor")
         tracks_file, tracks_bytes, rows = self._tracks_file, self._tracks_bytes, self._tracks_rows
         changed = self._refine_changed
-        if (changed is None or changed or cursor != self._refine_cursor
-                or compact and tracks_file is not None):
-            tracks = self.tracks()
-            if (changed is None or compact or tracks_file is None
-                    or rows + len(changed) > 2 * len(tracks)):
-                rows, changed = len(tracks), range(len(tracks))
+        if changed is None or changed or cursor != self._refine_cursor:
+            n = self._track_count()
+            if changed is None or tracks_file is None or rows + len(changed) > 2 * n:
+                self.tracks()  # replays the log read at open
+                rows, changed = n, range(n)
                 tracks_file, tracks_bytes = self._new_name(".tracks"), 0
             else:
                 rows += len(changed)
-            data = b"".join(_track_record(tracks[p]) for p in sorted(changed)) + _state_record(
-                cursor, self._next_track_id, len(tracks), rows)
+            data = b"".join(_track_record(self._tracks[p]) for p in sorted(changed)) + (
+                _state_record(cursor, self._next_track_id, n, rows))
             _append_durable(os.path.join(self.root, "segments", tracks_file), tracks_bytes, data)
             tracks_bytes += len(data)
         path = os.path.join(self.root, "manifest.json")
@@ -689,7 +699,7 @@ class Store:
             "next_segment_no": self._next_segment_no,
             "tracks": tracks_file,
             "tracks_bytes": tracks_bytes,
-            "labels": [_label_summary_row(s) for s in state("_label_summaries")],
+            "labels": [_LABEL_ROW(s) for s in state("_label_summaries")],
             "activities": [_activity_summary_row(s) for s in state("_activity_summaries")],
             "coverage": self._coverage,
         }))
@@ -712,13 +722,15 @@ class Store:
                 + ([self._tracks_file] if self._tracks_file else []))
 
     def _sweep(self) -> None:
-        """Delete every file in segments/ that the manifest does not name:
-        what a failed commit or a replaced generation left behind."""
+        """Delete every file in segments/ that the manifest does not name, and cut the
+        .tracks log to its committed length: what a failed commit or a replaced generation left."""
         named = set(self._named_files())
         seg_dir = os.path.join(self.root, "segments")
         for name in os.listdir(seg_dir):
             if name not in named:
                 os.unlink(os.path.join(seg_dir, name))
+        if self._tracks_file is not None:
+            _cut(os.path.join(seg_dir, self._tracks_file), self._tracks_bytes)
 
     def close(self, flush: bool = True) -> None:
         if self._closed:
@@ -778,6 +790,11 @@ class Store:
 
     def frame_count(self) -> int:
         return self._cold_frames + len(self._frames)
+
+    @property
+    def segment_max_records(self) -> int:
+        """The records a segment holds before a flush seals it."""
+        return self._segment_max
 
     def labels(self) -> list[str]:
         out = set(self._detections.labels)  # every interned label has a detection
@@ -1075,6 +1092,10 @@ class Store:
             self._track_log = None
         return list(self._tracks)
 
+    def _track_count(self) -> int:
+        """The tracks held, read off the log's state record until it is replayed."""
+        return len(self._tracks) if self._track_log is None else _refine_state(self._track_log)[2]
+
     def _index(self) -> TrackIndex:
         if self._track_index is None:
             self._track_index = index_tracks(self.tracks())
@@ -1105,8 +1126,9 @@ class Store:
         counts label rows; hourly_created and daily_created count rows added.
 
         Tracks whose sightings were rolled up keep their spans and fused
-        estimate. The refine cursor is renumbered with the detections it
-        counts, so detections appended later are still refined.
+        estimate; the commit appends to the .tracks log just a state record
+        with the cursor, renumbered with the detections it counts so that
+        detections appended later are still refined.
 
         The new summaries, cursor and tables are built apart and installed
         by the commit that publishes them, so a migration that fails leaves
@@ -1162,24 +1184,16 @@ class Store:
         return report
 
     def _summarize(self, label: str, kind: str, bucket_us: int, seqs: list[int]) -> LabelSummary:
-        """Fuse the given detections into one hourly summary, reading their
+        """Roll the given detections into one hourly summary, reading their
         frames' time and position straight off the columns."""
         frames, dets = self._frames, self._detections
         positions = [dets.position[seq] for seq in seqs]
         first_ts, first_frame = min((frames.ts_us[p], frames.frame_id[p]) for p in positions)
         last_ts, last_frame = max((frames.ts_us[p], frames.frame_id[p]) for p in positions)
-        loc = None
-        miss = 1.0
-        for seq, p in zip(seqs, positions):
-            obs = observation_at(frames.x[p], frames.y[p])
-            loc = obs if loc is None else fuse(loc, obs)
-            miss *= (1.0 - dets.confidence[seq])
-        return LabelSummary(
-            label=label, kind=kind, tier="hourly", bucket_us=bucket_us, count=len(seqs),
-            first_frame=first_frame, last_frame=last_frame,
-            first_ts_us=first_ts, last_ts_us=last_ts,
-            loc=loc, detect_prob=1.0 - miss,
-        )
+        return LabelSummary(label, kind, "hourly", bucket_us, len(seqs), first_frame, last_frame,
+                            first_ts, last_ts, sum(map(frames.x.__getitem__, positions)),
+                            sum(map(frames.y.__getitem__, positions)),
+                            1.0 - prod(1.0 - dets.confidence[seq] for seq in seqs))
 
     def _rewrite_detections(self, keep: list[int], activities: list[ActivityEvent],
                             **new) -> None:
@@ -1202,7 +1216,7 @@ class Store:
             names.append(name)
         held = (f1, *counts)
         # its sweep deletes the old detection blocks and the log
-        self._commit(compact=True, _blocks=blocks, _segments=names, _log_bytes=0, _log_start=held,
+        self._commit(_blocks=blocks, _segments=names, _log_bytes=0, _log_start=held,
                      _durable=held, _detections=dets, _activities=activities, **new)
 
     # ------------------------------------------------------------------ stats
@@ -1219,7 +1233,7 @@ class Store:
             bytes_on_disk=nbytes,
             frames=frames,
             detections=len(self._detections),
-            tracks=len(self._tracks) if self._track_log is None else _refine_state(self._track_log)[2],
+            tracks=self._track_count(),
             bytes_per_frame=nbytes / max(frames, 1),
             refine_state_bytes=self._tracks_bytes,
             refine_log_rows=self._tracks_rows,
@@ -1248,12 +1262,13 @@ def bucket_seconds(start_us: int, end_us: int, width_us: int) -> Iterator[tuple[
 
 
 def _merge_labels(a: LabelSummary, b: LabelSummary) -> LabelSummary:
-    """The sightings of both rows as one row of a's key: counts add,
-    locations fuse, first and last widen, detect probabilities noisy-OR."""
+    """The sightings of both rows as one row of a's key: counts and sums
+    add, first and last widen, detect probabilities noisy-OR."""
     first_ts, first_frame = min((a.first_ts_us, a.first_frame), (b.first_ts_us, b.first_frame))
     last_ts, last_frame = max((a.last_ts_us, a.last_frame), (b.last_ts_us, b.last_frame))
     return replace(a, count=a.count + b.count, first_frame=first_frame, last_frame=last_frame,
-                   first_ts_us=first_ts, last_ts_us=last_ts, loc=fuse(a.loc, b.loc),
+                   first_ts_us=first_ts, last_ts_us=last_ts,
+                   sum_x=a.sum_x + b.sum_x, sum_y=a.sum_y + b.sum_y,
                    detect_prob=1.0 - (1.0 - a.detect_prob) * (1.0 - b.detect_prob))
 
 
@@ -1297,8 +1312,8 @@ def _roll_daily(rows: list, warm_us: int, merge) -> tuple[list, int, int]:
 
 # ---------------------------------------------------------------------------
 # (de)serialization: a track row and a state record per framed record of the
-# .tracks log, and a flat row per tier summary in the manifest; a location is
-# the six numbers of _loc_row
+# .tracks log, and a flat row per activity summary in the manifest (a label
+# summary's row is its fields); a location is the six numbers of _loc_row
 
 TAG_TRACK = 4
 TAG_REFINE_STATE = 5
@@ -1375,17 +1390,6 @@ def _replay_tracks(log: bytes) -> list[Track]:
         raise CorruptSegment(f"the .tracks log holds {len(last)} tracks in {seen} rows, "
                              f"not {tracks} in {rows}")
     return [_track_from_payload(p) for p in last]
-
-
-def _label_summary_row(s: LabelSummary) -> list:
-    """[label, kind, tier, bucket_us, count, first_frame, last_frame,
-    first_ts_us, last_ts_us, *loc, detect_prob]"""
-    return [s.label, s.kind, s.tier, s.bucket_us, s.count, s.first_frame, s.last_frame,
-            s.first_ts_us, s.last_ts_us, *_loc_row(s.loc), s.detect_prob]
-
-
-def _label_summary_from_row(row: list) -> LabelSummary:
-    return LabelSummary(*row[:9], _loc_from_row(*row[9:15]), row[15])
 
 
 def _activity_summary_row(s: ActivitySummary) -> list:

@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 
@@ -30,6 +31,16 @@ def small_scenario(seed=42, minutes=2.0, with_activities=True, **kw):
         include_activity_records=with_activities,
         **kw,
     )
+
+
+def set_segment_max(root, records):
+    """Make the store at root seal a segment every `records` records."""
+    path = os.path.join(root, "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    manifest["segment_max_records"] = records
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
 
 
 @pytest.fixture

@@ -1,15 +1,21 @@
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import robomem
 from robomem.errors import ParseError
 from robomem.ingest import MAX_ERRORS, ingest_stream, parse_feed_line, read_feed, write_feed
 from robomem.model import ActivityEvent, Detection, FrameMeta, Pose, ts_parse
 from robomem.scenario import ScenarioConfig, generate_scenario
 from robomem.store import Store
 
-from conftest import small_scenario
+from conftest import set_segment_max, small_scenario
 
 
 def test_parse_frame_line():
@@ -163,3 +169,100 @@ def test_reingest_same_feed_stores_no_duplicates(populated, tmp_path):
     assert report.frames == 0
     assert report.rejected > 0
     assert store.frame_count() == before
+
+
+def _held(store):
+    return store.frame_count(), store.detection_count(), len(store.activities())
+
+
+def _counts(records):
+    return tuple(sum(isinstance(r, t) for r in records) for t in (FrameMeta, Detection, ActivityEvent))
+
+
+def _segmented_store(root, per_segment):
+    Store.create(root).close()
+    set_segment_max(root, per_segment)
+    return root
+
+
+def test_a_failing_source_keeps_the_segments_flushed_before_it(tmp_path):
+    """Ingest flushes each time its records fill a segment, so a source that
+    raises after two and a half segments leaves a store that reopens
+    holding the first two."""
+    _gt, records = generate_scenario(small_scenario(seed=3, minutes=1.0))
+    root = _segmented_store(str(tmp_path / "s"), 200)
+
+    def source():
+        yield from records[:500]
+        raise RuntimeError("the feed broke")
+
+    with pytest.raises(RuntimeError):
+        with Store.open(root) as s:
+            ingest_stream(source(), s)
+    with Store.open(root, mode="ro") as s:
+        assert _held(s) == _counts(records[:400])
+
+
+def test_ingest_writes_the_files_of_one_flush(tmp_path):
+    """The flushes ingest makes along the way seal where one flush at the
+    end seals, also after a log left by an earlier ingest, so both leave the
+    same files and manifest."""
+    _gt, records = generate_scenario(small_scenario(seed=3, minutes=1.0))
+    ingested, appended = (_segmented_store(str(tmp_path / name), 200) for name in ("i", "a"))
+    with Store.open(ingested) as s:
+        for part in (records[:100], records[100:]):
+            ingest_stream(iter(part), s)
+    with Store.open(appended) as s:
+        for part in (records[:100], records[100:]):
+            for r in part:
+                s.append(r)
+            s.flush()
+
+    def files(root):
+        paths = [os.path.join("segments", name) for name in os.listdir(os.path.join(root, "segments"))]
+        out = {}
+        for path in paths + ["manifest.json"]:
+            with open(os.path.join(root, path), "rb") as fh:
+                out[path] = fh.read()
+        return out
+    assert files(ingested) == files(appended)
+    assert len(json.loads(files(ingested)["manifest.json"])["frames"]) == 2
+
+
+def test_a_killed_ingest_keeps_the_segments_flushed_before_it(tmp_path):
+    """A child ingests a feed of more than k segments and kills itself with
+    SIGKILL once its source has yielded k segments' records and one more. Its
+    store reopens holding at least those k segments, as a prefix of the feed,
+    and ingesting the rest of the feed then holds the whole of it."""
+    k, per_segment = 2, 150
+    _gt, records = generate_scenario(small_scenario(seed=3, minutes=1.0))
+    assert len(records) > (k + 1) * per_segment
+    feed = str(tmp_path / "feed.jsonl")
+    with open(feed, "w") as fh:
+        write_feed(fh, records)
+    root = _segmented_store(str(tmp_path / "s"), per_segment)
+    code = textwrap.dedent(f"""
+        import os, signal
+        from robomem.ingest import ingest_stream, read_feed
+        from robomem.store import Store
+
+        def source(fh):
+            for n, rec in enumerate(read_feed(fh), 1):
+                yield rec
+                if n == {k * per_segment + 1}:
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+        with open({feed!r}) as fh:
+            ingest_stream(source(fh), Store.open({root!r}))
+        """)
+    src = os.path.dirname(os.path.dirname(robomem.__file__))
+    child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                           timeout=60, capture_output=True)
+    assert child.returncode == -signal.SIGKILL, child.stderr
+    with Store.open(root) as s:
+        n = sum(_held(s))
+        assert n >= k * per_segment and _held(s) == _counts(records[:n])
+        report = ingest_stream(iter(records[n:]), s)
+        assert report.rejected == 0 and _held(s) == _counts(records)
+    with Store.open(root, mode="ro") as s:
+        assert _held(s) == _counts(records)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import random
@@ -36,7 +37,7 @@ from robomem.model import (
     ts_to_micros,
 )
 from robomem.query import run_query
-from robomem.refine import run_refinement_pass
+from robomem.refine import fuse, observation_at, run_refinement_pass
 from robomem.reprocess import OracleReprocessor, run_reprocess
 from robomem.scenario import generate_scenario
 from robomem.segment import (
@@ -51,7 +52,7 @@ from robomem.segment import (
 )
 from robomem.store import FORMAT_VERSION, TAG_REFINE_STATE, TAG_TRACK, Store, TierPolicy
 
-from conftest import small_scenario
+from conftest import set_segment_max, small_scenario
 from oracle import canonicalize
 
 T0 = ts_parse("2019-06-01T00:00:00Z")
@@ -157,13 +158,13 @@ def test_newer_version_refused(tmp_path, store):
     # refine state in tracks.json, version 5 with every segment a record
     # log, version 6 with a count in each activity summary row, version 7
     # with its refine state as one JSON document, and version 8 with a
-    # segment's frames and detections sealed into one block; nothing
-    # converts them
+    # segment's frames and detections sealed into one block, and version 9
+    # with a fused location in each label summary row; nothing converts them
     store.close()
     p = os.path.join(store.root, "manifest.json")
     with open(p) as fh:
         m = json.load(fh)
-    for version in (99, 1, 2, 3, 4, 5, 6, 7, 8):
+    for version in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9):
         m["version"] = version
         with open(p, "w") as fh:
             json.dump(m, fh)
@@ -206,7 +207,7 @@ def test_writer_reads_the_manifest_under_the_lock(tmp_path, monkeypatch):
     after its own commit."""
     root = str(tmp_path / "s")
     Store.create(root).close()
-    _set_segment_max(root, 16)
+    set_segment_max(root, 16)
     frames = [FrameMeta(f, T0 + f * timedelta(seconds=1), Pose(0.0, 0.0)) for f in range(31)]
     with Store.open(root) as s:
         for fm in frames[:16]:
@@ -450,13 +451,6 @@ def test_crash_safety_random_truncation(tmp_path):
         st.close()
 
 
-def _set_segment_max(root, records):
-    manifest = _manifest(root)
-    manifest["segment_max_records"] = records
-    with open(os.path.join(root, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh)
-
-
 @pytest.mark.parametrize("migrated", [False, True], ids=["ingested", "migrated"])
 def test_damaged_tail_opens_as_record_walk(tmp_path, migrated):
     """With its log cut or bit-flipped at many offsets, a store opens to
@@ -470,7 +464,7 @@ def test_damaged_tail_opens_as_record_walk(tmp_path, migrated):
     cut = records.index(frames[len(frames) * 2 // 3]) if migrated else len(records)
     root = str(tmp_path / "s")
     Store.create(root).close()
-    _set_segment_max(root, 400)
+    set_segment_max(root, 400)
     with Store.open(root) as s:
         ingest_stream(iter(records[:cut]), s)
         if migrated:
@@ -531,7 +525,7 @@ def test_damaged_block_is_corruption(tmp_path):
     oldest = next(r for r in records if isinstance(r, FrameMeta))
     root = str(tmp_path / "s")
     Store.create(root).close()
-    _set_segment_max(root, 200)
+    set_segment_max(root, 200)
     policy = TierPolicy(hot_window=timedelta(days=7))
     with Store.open(root) as s:  # flushes seal frame blocks; the migration writes detection blocks
         ingest_stream(iter(records), s)
@@ -1033,8 +1027,9 @@ def test_migration_shrinks_disk(tmp_path):
 
 def test_migration_keeps_refinement_going(tmp_path):
     """A migration that rolls up refined detections renumbers the refine
-    cursor with them, so detections appended later are all refined. A
-    migration also compacts the .tracks log into a fresh file."""
+    cursor with them, so detections appended later are all refined. It
+    changes no track, so it appends one state record to the .tracks log and
+    no track row; a reopen reads the same tracks and the renumbered cursor."""
     _gt, records = generate_scenario(small_scenario(seed=2, minutes=3.0))
     frames = [r for r in records if isinstance(r, FrameMeta)]
     cut = records.index(frames[len(frames) // 2])
@@ -1058,10 +1053,21 @@ def test_migration_keeps_refinement_going(tmp_path):
     assert second.tracks_created + second.observations_fused == new
     s.flush()
     assert _manifest(s.root)["tracks"] == name  # the second pass's rows were appended
-    s.migrate_tiers(frames[0].ts + timedelta(seconds=90) + policy.hot_window, policy)
-    assert _manifest(s.root)["tracks"] != name
-    assert s.stats().refine_log_rows == s.stats().tracks == len(s.tracks())
+    before, tracks = s.stats(), s.tracks()
+    size = before.refine_state_bytes
+    report = s.migrate_tiers(frames[0].ts + timedelta(seconds=90) + policy.hot_window, policy)
+    assert report.detections_migrated > 0
+    after = s.stats()
+    assert _manifest(s.root)["tracks"] == name
+    assert [tag for tag, _ in _log_records(s.root, size)] == [TAG_REFINE_STATE]
+    assert after.refine_state_bytes == size + len(store_module._state_record(0, 0, 0, 0))
+    assert (after.tracks, after.refine_log_rows) == (before.tracks, before.refine_log_rows)
+    cursor = s.load_refine_state()["cursor"]
+    assert cursor == s.detection_count()
     s.close()
+    reopened = Store.open(s.root, mode="ro")
+    assert reopened.tracks() == tracks and reopened.load_refine_state()["cursor"] == cursor
+    reopened.close()
 
 
 def test_migration_retains_frames_for_reprocessing(tmp_path):
@@ -1097,7 +1103,7 @@ def test_open_holds_the_hot_window(tmp_path):
     sessions = daily_sessions(6)
     root = str(tmp_path / "s")
     Store.create(root).close()
-    _set_segment_max(root, 200)  # several frame blocks a day
+    set_segment_max(root, 200)  # several frame blocks a day
     policy = TierPolicy(hot_window=timedelta(days=2))
     day0 = served_frames(sessions[0])
     first_day = TimeRange(day0[0].ts, day0[-1].ts)
@@ -1236,7 +1242,7 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
     cut = records.index(frames[len(frames) * 2 // 3])
     base = str(tmp_path / "base")
     Store.create(base).close()
-    _set_segment_max(base, 400)  # so a flush fills one segment and starts the next
+    set_segment_max(base, 400)  # so a flush fills one segment and starts the next
     with Store.open(base) as s:
         ingest_stream(iter(records[:cut]), s)
     full = TimeRange(frames[0].ts, frames[-1].ts)
@@ -1324,9 +1330,10 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
         _manifest(base)["segments"])
     sealed = set(_frame_blocks(root)) - set(blocks)
     assert bool(written) == (len(sealed) == 1) == (prepare is not _prepare_reprocess)
-    if prepare in (_prepare_refine_append, _prepare_compact):
-        # appended to the committed log, or compacted into a fresh one
-        assert (_manifest(root)["tracks"] == tracks_file) == (prepare is _prepare_refine_append)
+    if prepare is not _prepare_flush and prepare is not _prepare_reprocess:
+        # appended to the committed log (by a migration, its renumbered
+        # cursor alone), or compacted into a fresh one
+        assert (_manifest(root)["tracks"] == tracks_file) == (prepare is not _prepare_compact)
         assert calls["write"] >= 1 + (prepare is _prepare_refine_append)
     for fail in calls:
         for k in range(1, calls[fail] + 1):
@@ -1353,7 +1360,7 @@ def test_writer_carries_on_after_a_failed_fsync(tmp_path, monkeypatch, operation
     policy = TierPolicy(hot_window=timedelta(days=7))
     base = str(tmp_path / "base")
     Store.create(base).close()
-    _set_segment_max(base, 400)
+    set_segment_max(base, 400)
     with Store.open(base) as s:
         if operation == "migrate":
             ingest_stream(iter(records), s)
@@ -1416,7 +1423,7 @@ def test_writer_carries_on_after_a_failed_fsync(tmp_path, monkeypatch, operation
                for n in _manifest(st.root)["segments"]) == (operation in ("seal", "migrate"))
     st.close()
     clean_log = tracks_log(st.root)
-    if operation == "refine-append":  # appended to the base's log, not compacted
+    if operation in ("refine-append", "migrate"):  # appended to the base's log, not compacted
         base_name, base_log = tracks_log(base)
         assert clean_log[0] == base_name and clean_log[1].startswith(base_log)
     want = before if operation == "migrate" else after
@@ -1628,6 +1635,48 @@ def test_two_migrations_fold_each_bucket_once(steps, cut, later):
             [(got_count, got_first, got_last, prob)] = got[key]
             assert (got_count, got_first, got_last) == (count, first, last)
             assert prob == pytest.approx(1.0 - miss, abs=1e-9)
+        store.close()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sightings=st.lists(st.tuples(
+        st.integers(0, 3 * 24 * 60 - 1),  # the sighting's minute, over three days
+        st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),  # the robot's x and y
+        min_size=1, max_size=40, unique_by=lambda s: s[0]),
+    cuts=st.lists(st.integers(0, 3 * 24 * 60), min_size=2, max_size=2),  # hot cutoffs, minutes
+)
+def test_summary_location_is_the_product_of_its_sightings(sightings, cuts):
+    """Two migrations whose hot cutoffs split hours into pieces, then one
+    that rolls every hour into its day. After each, every label row's
+    location equals the sightings it holds fused one at a time, within 1e-9
+    in mean and covariance."""
+    sightings.sort()
+    policy = TierPolicy(hot_window=timedelta(days=7), warm_window=timedelta(days=30))
+    nows = [T0 + timedelta(minutes=m) + policy.hot_window for m in sorted(cuts)]
+    nows.append(T0 + timedelta(days=3) + policy.warm_window)
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Store.create(os.path.join(tmp, "s"))
+        for f, (minute, x, y) in enumerate(sightings):
+            store.append(FrameMeta(f, T0 + timedelta(minutes=minute), Pose(x, y)))
+            store.append(Detection(f, "cup", "object", 0.9))
+        store.flush()
+        frames = [store.frame_by_id(f) for f in range(len(sightings))]
+        for now in nows:
+            store.migrate_tiers(now, policy)
+            hot_us = ts_to_micros(now - policy.hot_window)
+            rows = store.label_summaries()
+            assert sum(row.count for row in rows) == sum(ts_to_micros(fm.ts) < hot_us for fm in frames)
+            for row in rows:
+                held = [fm for fm in frames
+                        if row.bucket_us <= ts_to_micros(fm.ts) < min(row.bucket_us + row.width_us, hot_us)]
+                want = functools.reduce(fuse, [observation_at(fm.pose.x, fm.pose.y) for fm in held])
+                assert len(held) == row.count
+                got = row.loc
+                assert got.mean == pytest.approx(want.mean, rel=0, abs=1e-9)
+                for got_row, want_row in zip(got.cov, want.cov):
+                    assert got_row == pytest.approx(want_row, rel=0, abs=1e-9)
+        assert {row.tier for row in store.label_summaries()} == {"daily"}
         store.close()
 
 

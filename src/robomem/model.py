@@ -8,7 +8,7 @@ resolution and serialize as ISO-8601.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Optional, Union
 
@@ -118,12 +118,8 @@ class Pose:
     yaw: float = 0.0
 
     def normalized(self) -> "Pose":
-        return replace(
-            self,
-            roll=_normalize_angle(self.roll),
-            pitch=_normalize_angle(self.pitch),
-            yaw=_normalize_angle(self.yaw),
-        )
+        return Pose(self.x, self.y, self.z, _normalize_angle(self.roll),
+                    _normalize_angle(self.pitch), _normalize_angle(self.yaw))
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,19 @@ is sealed into two blocks, written from slices of the tables: a frame block
 (encode_frame_block) holds the segment's frames as zlib'd little-endian
 columns, and a detection block (encode_detection_block) holds its
 detections as columns, their label table and its activities as framed
-records. Each block carries one CRC over the file. Reading a block checks
-the CRC, decompresses each column and appends it to its table whole, so a
-frame or detection in a block costs no Python step of its own beyond the
-detection's posting; a detection block's frame ids are placed in the frame
-table in one pass (FrameColumns.positions). A block checks or fails as one
-unit: it is never cut back, since a flush writes it whole before the
-manifest names it.
+records. A column is byte-shuffled before zlib sees it: byte 0 of every
+item, then byte 1 of every item, and so on, so the near-constant high bytes
+of ids, timestamps and coordinates lie side by side (as Blosc does). Every
+frame column is shuffled, and so are a detection block's frame ids and
+label indexes; its confidences are not, since zlib matches their few
+distinct values as whole repeated doubles. Each block carries one CRC over
+the file. Reading a block checks the CRC, decompresses each column, undoes
+the shuffle with one slice assignment per byte plane and appends the column
+to its table whole, so a frame or detection in a block costs no Python step
+of its own beyond the detection's posting; a detection block's frame ids
+are placed in the frame table in one pass (FrameColumns.positions). A block
+checks or fails as one unit: it is never cut back, since a flush writes it
+whole before the manifest names it.
 """
 
 from __future__ import annotations
@@ -309,17 +315,22 @@ class DetectionColumns:
 # A sealed block: _BLOCK_HEAD, then one section per column or table of its
 # kind, each a u32 length and that many bytes of zlib'd data, then the u32
 # crc32 of everything before it. A column section holds the column's items
-# as little-endian bytes. The first byte of either magic is no record tag, so
-# no log starts with it.
+# as little-endian bytes, byte-shuffled where its table says so: byte 0 of
+# every item, then byte 1 of every item, and so on. The first byte of either
+# magic is no record tag, so no log starts with it.
 _FRAME_MAGIC = b"\xb1RMF"  # a frame block: the frame columns
 _DETECTION_MAGIC = b"\xb1RMD"  # a detection block: the detection columns, label table, activities
 _BLOCK_HEAD = struct.Struct("<4sI")  # magic, frames or detections held
 _SECTION = struct.Struct("<I")
-_ZLIB_LEVEL = 1  # level 6 takes twice the time for 1.5% smaller blocks
-_FRAME_COLUMNS = (("frame_id", "q"), ("ts_us", "q"), ("x", "d"), ("y", "d"),
-                  ("z", "f"), ("roll", "f"), ("pitch", "f"), ("yaw", "f"))
-# detection columns: frame id, index into the block's label table, kind code, confidence
-_DET_COLUMNS = ("q", "i", "b", "d")
+_ZLIB_LEVEL = 1  # on shuffled columns, level 6 takes about 40% longer for 2.5% smaller blocks
+# (name, typecode, shuffled) of each frame column
+_FRAME_COLUMNS = (("frame_id", "q", True), ("ts_us", "q", True), ("x", "d", True),
+                  ("y", "d", True), ("z", "f", True), ("roll", "f", True),
+                  ("pitch", "f", True), ("yaw", "f", True))
+# (typecode, shuffled) of each detection column: frame id, index into the
+# block's label table, kind code (one byte: nothing to shuffle) and
+# confidence, whose few distinct values zlib matches best as whole doubles
+_DET_COLUMNS = (("q", True), ("i", True), ("b", False), ("d", False))
 _NATIVE_LE = sys.byteorder == "little"
 # A log walk moves frame bodies to the columns this many at a time, so it
 # holds few of them at once.
@@ -331,21 +342,31 @@ _ROWS_HELD = 256
 Placer = Callable[[array], array]
 
 
-def _le_bytes(column: array) -> bytes:
+def _le_bytes(column: array, shuffled: bool) -> bytes:
+    """A column section's bytes: the items little-endian, byte-shuffled if asked."""
     if not _NATIVE_LE:
         column = array(column.typecode, column)
         column.byteswap()
-    return column.tobytes()
+    raw = column.tobytes()
+    if not shuffled:
+        return raw
+    size = column.itemsize
+    return b"".join(raw[i::size] for i in range(size))
 
 
-def _column(raw: bytes, typecode: str, count: int) -> array:
+def _column(raw: bytes, typecode: str, count: int, shuffled: bool) -> array:
     """A column section's items; raises CorruptSegment unless there are `count`."""
-    try:
-        out = array(typecode, raw)
-    except ValueError:
-        raise CorruptSegment("block column is not whole items") from None
-    if len(out) != count:
-        raise CorruptSegment(f"block column holds {len(out)} items, not {count}")
+    size = array(typecode).itemsize
+    if len(raw) % size:
+        raise CorruptSegment("block column is not whole items")
+    if len(raw) != count * size:
+        raise CorruptSegment(f"block column holds {len(raw) // size} items, not {count}")
+    if shuffled:
+        planes = memoryview(raw)
+        raw = bytearray(len(raw))
+        for i in range(size):
+            raw[i::size] = planes[i * count:(i + 1) * count]
+    out = array(typecode, raw)
     if not _NATIVE_LE:
         out.byteswap()
     return out
@@ -383,7 +404,8 @@ def _decode_sections(data: bytes, n_sections: int) -> Optional[tuple[int, list[b
 def encode_frame_block(frames: FrameColumns, start: int, end: int) -> bytes:
     """The sealed frame block of frames start:end."""
     return _encode_sections(_FRAME_MAGIC, end - start, [
-        _le_bytes(getattr(frames, name)[start:end]) for name, _typecode in _FRAME_COLUMNS])
+        _le_bytes(getattr(frames, name)[start:end], shuffled)
+        for name, _typecode, shuffled in _FRAME_COLUMNS])
 
 
 def encode_detection_block(detections: DetectionColumns, activities: list[ActivityEvent],
@@ -399,7 +421,8 @@ def encode_detection_block(detections: DetectionColumns, activities: list[Activi
     columns = [array("q", map(detections.frames.frame_id.__getitem__, detections.position[d0:d1])),
                array("i", map(table.__getitem__, label_ids)),
                detections.kind[d0:d1], detections.confidence[d0:d1]]
-    sections = [_le_bytes(c) for c in columns]
+    sections = [_le_bytes(column, shuffled)
+                for column, (_typecode, shuffled) in zip(columns, _DET_COLUMNS)]
     sections.append(json.dumps([detections.labels[lid] for lid in table]).encode("utf-8"))
     sections.append(b"".join(encode_record(ev) for ev in activities[a0:a1]))
     return _encode_sections(_DETECTION_MAGIC, d1 - d0, sections)
@@ -411,10 +434,10 @@ def _scan_frame_block(data: bytes, frames: Optional[FrameColumns]) -> tuple[list
     if decoded is None:
         return [], 0
     count, sections = decoded
-    columns = [_column(raw, typecode, count)
-               for raw, (_name, typecode) in zip(sections, _FRAME_COLUMNS)]
+    columns = [_column(raw, typecode, count, shuffled)
+               for raw, (_name, typecode, shuffled) in zip(sections, _FRAME_COLUMNS)]
     table = frames if frames is not None else FrameColumns()
-    for (name, _typecode), column in zip(_FRAME_COLUMNS, columns):
+    for (name, _typecode, _shuffled), column in zip(_FRAME_COLUMNS, columns):
         getattr(table, name).extend(column)
     return ([] if frames is not None else list(map(table.frame, range(count)))), len(data)
 
@@ -427,7 +450,8 @@ def _scan_detection_block(data: bytes, detections: Optional[DetectionColumns],
         return [], 0
     n_dets, sections = decoded
     fids, lids, kinds, confidences = (
-        _column(raw, typecode, n_dets) for raw, typecode in zip(sections, _DET_COLUMNS))
+        _column(raw, typecode, n_dets, shuffled)
+        for raw, (typecode, shuffled) in zip(sections, _DET_COLUMNS))
     try:
         table = [label.encode("utf-8") for label in json.loads(sections[-2])]
     except (ValueError, TypeError, AttributeError) as e:

@@ -19,18 +19,19 @@ On-disk layout under the store root:
                           row rather than add a second. A label row holds
                           the robot's x and y summed (LabelSummary.loc).
     segments/NNNN.frames  a frame block (segment.encode_frame_block): the
-                          frames of one sealed segment as zlib'd columns
-                          under one CRC. The directory lists each as [name,
-                          first and last frame id, first and last ts_us,
-                          frame count], in frame order. Once the manifest
-                          names a frame block it is never rewritten or
-                          deleted, so a read-only store can read one long
-                          after its open.
+                          frames of one sealed segment as byte-shuffled
+                          zlib'd columns under one CRC. The directory lists
+                          each as [name, first and last frame id, first and
+                          last ts_us, frame count], in frame order. Once the
+                          manifest names a frame block it is never
+                          rewritten or deleted, so a read-only store can
+                          read one long after its open.
     segments/NNNN.blk     a detection block (segment.encode_detection_block):
                           detections, by frame id, and activities as zlib'd
-                          columns and framed records under one CRC. A flush
-                          that fills the log to segment_max_records seals
-                          it: it writes the log's frames as a frame block
+                          columns (byte-shuffled but for the confidences)
+                          and framed records under one CRC. A flush that
+                          fills the log to segment_max_records seals it: it
+                          writes the log's frames as a frame block
                           and its detections and activities as a detection
                           block, both under the log's number, straight from
                           the in-memory tables, and the manifest names them
@@ -162,7 +163,7 @@ from .model import (
 )
 from .refine import TrackIndex, index_tracks, observation_at, track_containing
 
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 DEFAULT_SEGMENT_RECORDS = 8192
 # Cold frame blocks held decoded after a read, least recently used dropped
 # first: enough that reads spread over a few days of history do not reread
@@ -409,6 +410,8 @@ class Store:
         self._coverage: list[tuple[Optional[str], str, int, int]] = []
         self._refine_cursor = 0                 # detections refined so far
         self._next_track_id = 0
+        # the (cursor, next track id) of the last state record committed
+        self._committed_refine = (0, 0)
         self._tracks: list[Track] = []
         self._track_log: Optional[bytes] = None  # the committed .tracks log until first replayed
         self._tracks_file: Optional[str] = None  # the committed .tracks log's name
@@ -546,6 +549,7 @@ class Store:
                 self._track_log = fh.read(self._tracks_bytes)
             self._refine_cursor, self._next_track_id, _n, self._tracks_rows = _refine_state(
                 self._track_log)
+            self._committed_refine = (self._refine_cursor, self._next_track_id)
 
     # ----------------------------------------------------------------- writes
 
@@ -658,8 +662,9 @@ class Store:
 
         A changed refine state first goes to the .tracks log: the rows of
         the tracks changed since the last commit (none if only the cursor
-        moved, as in a migration) and a state record are appended past its
-        committed length, which the manifest then moves. The state is
+        or next track id moved, as in a migration; both are compared with
+        the last state record committed) and a state record are appended
+        past its committed length, which the manifest then moves. The state is
         instead written whole to a fresh .tracks file when it was saved
         without a change set, when there is no log yet, or when the log
         would hold more than twice as many rows as tracks. Neither needs a
@@ -676,7 +681,7 @@ class Store:
         cursor = state("_refine_cursor")
         tracks_file, tracks_bytes, rows = self._tracks_file, self._tracks_bytes, self._tracks_rows
         changed = self._refine_changed
-        if changed is None or changed or cursor != self._refine_cursor:
+        if changed is None or changed or (cursor, self._next_track_id) != self._committed_refine:
             n = self._track_count()
             if changed is None or tracks_file is None or rows + len(changed) > 2 * n:
                 self.tracks()  # replays the log read at open
@@ -707,6 +712,7 @@ class Store:
         for name, value in new.items():
             setattr(self, name, value)
         self._tracks_file, self._tracks_bytes, self._tracks_rows = tracks_file, tracks_bytes, rows
+        self._committed_refine = (cursor, self._next_track_id)
         self._refine_changed = set()
         self._sweep()
 

@@ -5,16 +5,19 @@ import os
 import random
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
 import zlib
 from datetime import timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import robomem
+import robomem.segment as segment_module
 import robomem.store as store_module
 
 from robomem.errors import (
@@ -157,14 +160,15 @@ def test_newer_version_refused(tmp_path, store):
     # coverage in summaries.json and coverage.json, version 4 with its
     # refine state in tracks.json, version 5 with every segment a record
     # log, version 6 with a count in each activity summary row, version 7
-    # with its refine state as one JSON document, and version 8 with a
-    # segment's frames and detections sealed into one block, and version 9
-    # with a fused location in each label summary row; nothing converts them
+    # with its refine state as one JSON document, version 8 with a
+    # segment's frames and detections sealed into one block, version 9
+    # with a fused location in each label summary row, and version 10 with
+    # block columns as plain little-endian items; nothing converts them
     store.close()
     p = os.path.join(store.root, "manifest.json")
     with open(p) as fh:
         m = json.load(fh)
-    for version in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9):
+    for version in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
         m["version"] = version
         with open(p, "w") as fh:
             json.dump(m, fh)
@@ -597,11 +601,20 @@ def _records_by_type(records):
     labels=st.lists(st.sampled_from(["cup", "mug", "café", "日本", "a b"]), min_size=1, max_size=40),
     confidences=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
     split=st.floats(0.0, 1.0),
+    big_endian=st.booleans(),
 )
-def test_block_round_trip(steps, poses, labels, confidences, split):
+def test_block_round_trip(steps, poses, labels, confidences, split, big_endian):
     """Frames, detections (also of frames in an earlier block) and
     activities come back from blocks equal to what their log gives, as
-    records and into the tables, and a block holds what its log held."""
+    records and into the tables, and a block holds what its log held. With
+    big_endian, blocks are written and read as on a big-endian host: a
+    column is byteswapped before it is shuffled, and unshuffled before it
+    is swapped back."""
+    with mock.patch.object(segment_module, "_NATIVE_LE", not big_endian):
+        _check_block_round_trip(steps, poses, labels, confidences, split)
+
+
+def _check_block_round_trip(steps, poses, labels, confidences, split):
     records = []
     ids, ts_us = [], 10**15
     for i, (what, step) in enumerate(steps):
@@ -652,6 +665,36 @@ def test_block_round_trip(steps, poses, labels, confidences, split):
         assert getattr(frames2, name) == getattr(frames, name)
     assert [dets2.detection(i) for i in range(len(dets2))] == [dets.detection(i) for i in range(len(dets))]
     assert dets2.labels == dets.labels and dets2.postings == dets.postings
+
+
+def _block_sections(block):
+    """The decompressed sections of a block, read by its layout: an 8-byte
+    head, then u32-length-prefixed zlib sections, then a u32 CRC."""
+    sections, off = [], 8
+    while off < len(block) - 4:
+        (size,) = struct.unpack_from("<I", block, off)
+        sections.append(zlib.decompress(block[off + 4:off + 4 + size]))
+        off += 4 + size
+    assert off == len(block) - 4
+    return sections
+
+
+def test_block_columns_are_byte_shuffled():
+    """A frame block's x section holds byte 0 of every x, then byte 1 of
+    every x, and so on, of the little-endian doubles; a detection block's
+    confidence section holds the confidences as plain little-endian doubles."""
+    xs = [0.1 * i + 1234.5678 for i in range(50)]
+    confidences = [0.5 + i / 1000 for i in range(50)]
+    frames = FrameColumns()
+    dets = DetectionColumns(frames)
+    for i, (x, c) in enumerate(zip(xs, confidences)):
+        frames.append_encoded(encode_record(FrameMeta(i, T0 + timedelta(seconds=i), Pose(x, -x))))
+        dets.append(i, Detection(i, "cup", "object", c))
+    items = [struct.pack("<d", x) for x in xs]
+    planes = bytes(item[b] for b in range(8) for item in items)
+    assert _block_sections(encode_frame_block(frames, 0, len(xs)))[2] == planes
+    sections = _block_sections(encode_detection_block(dets, [], (0, 0), (len(dets), 0)))
+    assert sections[3] == b"".join(struct.pack("<d", c) for c in confidences)
 
 
 def test_reprocessed_sightings_read_the_same_after_reopen(store):
@@ -875,6 +918,24 @@ def test_saved_refine_state_replaces_undecoded_rows(populated):
     assert reopened.tracks() == [] and reopened.stats().tracks == 0
     assert reopened.track_for(reopened.labels()[0], "object", 0) is None
     reopened.close()
+
+
+def test_refine_state_saved_with_no_changed_track_survives_reopen(populated):
+    """A state saved with an empty change set, whose cursor and next track
+    id differ from the last committed ones, is committed at the next flush."""
+    store, _gt, _records = populated
+    run_refinement_pass(store)
+    store.flush()
+    state = store.load_refine_state()
+    assert state["cursor"] > 0
+    saved = {"cursor": 0, "next_track_id": state["next_track_id"] + 5}
+    store.save_refine_state(dict(state, **saved), changed=[])
+    store.flush()
+    with Store.open(store.root, mode="ro") as reopened:
+        got = reopened.load_refine_state()
+        assert {k: got[k] for k in saved} == saved
+        assert got["tracks"] == state["tracks"]
+    store.close()
 
 
 def _log_records(root, start=0):

@@ -196,13 +196,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    policy = _policy_from_args(args) if args.refine else None  # a bad one ingests nothing
     with Store.open(args.store, mode="rw") as store:
         with open(args.feed) as fh:
             report = ingest_stream(read_feed(fh), store)
         for error in report.errors:
             print(f"rejected: {error}", file=sys.stderr)
-        if args.refine:
-            run_refinement_pass(store, _policy_from_args(args))
+        if policy is not None:
+            run_refinement_pass(store, policy)
         store.flush()  # write the refine state, so the stats count it
         stats = store.stats()
     payload = {
@@ -223,8 +224,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    policy = _policy_from_args(args)
     with Store.open(args.store, mode="rw") as store:
-        report = run_refinement_pass(store, _policy_from_args(args))
+        report = run_refinement_pass(store, policy)
     _emit(args, asdict(report),
           f"refined: {report.tracks_created} tracks created, "
           f"{report.tracks_updated} updated, {report.observations_fused} observations fused")

@@ -9,10 +9,13 @@ On-disk layout under the store root:
                           detection blocks and log, the committed length of
                           the log, the name of the refine-state log (null
                           before the first refinement) and its committed
-                          length, the warm (hourly) and cold (daily) tier
-                          summaries as flat rows, and the analyzed time as
-                          (subject, activity, from_us, to_us) coverage rows.
-                          One rename publishes all of them. A summary row
+                          length, the refine state's scalars as [cursor,
+                          next track id, tracks, track rows] (the last two
+                          count what the committed .tracks log holds), the
+                          warm (hourly) and cold (daily) tier summaries as
+                          flat rows, and the analyzed time as (subject,
+                          activity, from_us, to_us) coverage rows. One
+                          rename publishes all of them. A summary row
                           is immutable, and there is one per (what, tier,
                           bucket), what being a label and kind or a subject
                           and activity: a migration merges into a bucket's
@@ -44,27 +47,25 @@ On-disk layout under the store root:
                           committed length are appends no commit published:
                           open does not read them, and a read-write open
                           cuts them off.
-    segments/NNNN.tracks  the refine-state log: framed records as in the
-                          log (segment.frame_record), each a track row or a
-                          state record. A track row is one track packed as
-                          binary: track id, kind, mean x and y, the four
-                          covariance entries, observation count, miss
-                          probability, first and last sighting (us and
-                          frame id, its presence span) and the label. A
-                          state record holds the cursor, the next track id,
-                          and how many tracks and rows the log holds up to
-                          it. The last row of a track id wins, and the
+    segments/NNNN.tracks  the refine-state log: track rows, framed as the
+                          log's records are (segment.frame_record). A row
+                          is one track packed as binary: track id, kind,
+                          mean x and y, the four covariance entries,
+                          observation count, miss probability, first and
+                          last sighting (us and frame id, its presence
+                          span) and the label. The last row of a track id wins, and the
                           tracks are in the order their ids first appear.
                           A commit appends the rows of the tracks changed
-                          since the last (none for a migration, which only
-                          renumbers the cursor) and a state record, and the
-                          manifest records the committed length; bytes past
-                          it are treated as the log's are. A state saved
-                          without a change set, or a log that would hold
-                          more than twice as many rows as tracks, is
-                          instead written whole (compacted) to a fresh file
-                          under a new number from the segments' counter,
-                          before the manifest that names it.
+                          since the last, and the manifest records the
+                          committed length; bytes past it are treated as
+                          the log's are. A commit that changes no track (a
+                          migration, which only renumbers the cursor)
+                          writes nothing here. A state saved without a
+                          change set, or a log that would hold more than
+                          twice as many rows as tracks, is instead written
+                          whole (compacted) to a fresh file under a new
+                          number from the segments' counter, before the
+                          manifest that names it.
     lock                  writer lock, held with flock by the writing process
 
 A file in segments/ that the manifest does not name is garbage, and so are
@@ -163,7 +164,7 @@ from .model import (
 )
 from .refine import TrackIndex, index_tracks, observation_at, track_containing
 
-FORMAT_VERSION = 11
+FORMAT_VERSION = 12
 DEFAULT_SEGMENT_RECORDS = 8192
 # Cold frame blocks held decoded after a read, least recently used dropped
 # first: enough that reads spread over a few days of history do not reread
@@ -363,8 +364,8 @@ def _append_durable(path: str, size: int, data: bytes) -> None:
 
 def _cut(path: str, size: int) -> None:
     """Cut a log to its committed length: drop a torn tail, or appends no
-    commit published."""
-    if os.path.getsize(path) != size:
+    commit published. A shorter log is damaged and left as it is."""
+    if os.path.getsize(path) > size:
         with open(path, "r+b") as fh:
             fh.truncate(size)
 
@@ -410,13 +411,11 @@ class Store:
         self._coverage: list[tuple[Optional[str], str, int, int]] = []
         self._refine_cursor = 0                 # detections refined so far
         self._next_track_id = 0
-        # the (cursor, next track id) of the last state record committed
-        self._committed_refine = (0, 0)
         self._tracks: list[Track] = []
         self._track_log: Optional[bytes] = None  # the committed .tracks log until first replayed
         self._tracks_file: Optional[str] = None  # the committed .tracks log's name
         self._tracks_bytes = 0                   # its committed length
-        self._tracks_rows = 0                    # the track rows in it
+        self._tracks_counts = (0, 0)             # the tracks and track rows in it
         # positions of the tracks changed since the last commit; None when
         # the next commit must write the state whole
         self._refine_changed: Optional[set[int]] = set()
@@ -542,14 +541,13 @@ class Store:
         self._label_summaries = [LabelSummary(*row) for row in manifest["labels"]]
         self._activity_summaries = [_activity_summary_from_row(r) for r in manifest["activities"]]
         self._coverage = [tuple(c) for c in manifest["coverage"]]
+        self._refine_cursor, self._next_track_id, *counts = manifest["refine"]
+        self._tracks_counts = tuple(counts)
         self._tracks_file = manifest["tracks"]
         if self._tracks_file is not None:
             self._tracks_bytes = manifest["tracks_bytes"]
             with open(os.path.join(self.root, "segments", self._tracks_file), "rb") as fh:
                 self._track_log = fh.read(self._tracks_bytes)
-            self._refine_cursor, self._next_track_id, _n, self._tracks_rows = _refine_state(
-                self._track_log)
-            self._committed_refine = (self._refine_cursor, self._next_track_id)
 
     # ----------------------------------------------------------------- writes
 
@@ -660,17 +658,17 @@ class Store:
         coverage with one manifest rename, then delete every file in
         segments/ that the manifest does not name.
 
-        A changed refine state first goes to the .tracks log: the rows of
-        the tracks changed since the last commit (none if only the cursor
-        or next track id moved, as in a migration; both are compared with
-        the last state record committed) and a state record are appended
-        past its committed length, which the manifest then moves. The state is
-        instead written whole to a fresh .tracks file when it was saved
-        without a change set, when there is no log yet, or when the log
-        would hold more than twice as many rows as tracks. Neither needs a
-        tmp file or rename: no reader reads past the committed length or
-        opens a file before the manifest names it, and if the commit fails
-        the next one cuts the appended rows off, or the fresh file is garbage.
+        The refine state's cursor, next track id and counts ride in the
+        manifest. Changed tracks first go to the .tracks log: their rows are
+        appended past its committed length, which the manifest then moves.
+        The tracks are instead written whole to a fresh .tracks file when
+        the state was saved without a change set, when there is no log yet,
+        or when the log would hold more than twice as many rows as tracks.
+        A commit that changes no track, such as a migration's, writes
+        nothing to the log. Neither write needs a tmp file or rename: no
+        reader reads past the committed length or opens a file before the
+        manifest names it, and if the commit fails the next one cuts the
+        appended rows off, or the fresh file is garbage.
 
         `new` maps store attributes to the values to publish in place of
         their own (a migration's segments, summaries, cursor and tables);
@@ -678,21 +676,18 @@ class Store:
         fails leaves the store as it was."""
         def state(name):
             return new[name] if name in new else getattr(self, name)
-        cursor = state("_refine_cursor")
-        tracks_file, tracks_bytes, rows = self._tracks_file, self._tracks_bytes, self._tracks_rows
-        changed = self._refine_changed
-        if changed is None or changed or (cursor, self._next_track_id) != self._committed_refine:
-            n = self._track_count()
+        tracks_file, tracks_bytes = self._tracks_file, self._tracks_bytes
+        counts, changed = self._tracks_counts, self._refine_changed
+        if changed is None or changed:
+            n, rows = self._track_count(), counts[1]
             if changed is None or tracks_file is None or rows + len(changed) > 2 * n:
                 self.tracks()  # replays the log read at open
-                rows, changed = n, range(n)
+                rows, changed = 0, range(n)
                 tracks_file, tracks_bytes = self._new_name(".tracks"), 0
-            else:
-                rows += len(changed)
-            data = b"".join(_track_record(self._tracks[p]) for p in sorted(changed)) + (
-                _state_record(cursor, self._next_track_id, n, rows))
+            data = b"".join(_track_record(self._tracks[p]) for p in sorted(changed))
             _append_durable(os.path.join(self.root, "segments", tracks_file), tracks_bytes, data)
             tracks_bytes += len(data)
+            counts = (n, rows + len(changed))
         path = os.path.join(self.root, "manifest.json")
         _write_durable(path + ".tmp", _json_bytes({
             "version": FORMAT_VERSION,
@@ -704,6 +699,7 @@ class Store:
             "next_segment_no": self._next_segment_no,
             "tracks": tracks_file,
             "tracks_bytes": tracks_bytes,
+            "refine": [state("_refine_cursor"), self._next_track_id, *counts],
             "labels": [_LABEL_ROW(s) for s in state("_label_summaries")],
             "activities": [_activity_summary_row(s) for s in state("_activity_summaries")],
             "coverage": self._coverage,
@@ -711,8 +707,8 @@ class Store:
         os.replace(path + ".tmp", path)
         for name, value in new.items():
             setattr(self, name, value)
-        self._tracks_file, self._tracks_bytes, self._tracks_rows = tracks_file, tracks_bytes, rows
-        self._committed_refine = (cursor, self._next_track_id)
+        self._tracks_file, self._tracks_bytes = tracks_file, tracks_bytes
+        self._tracks_counts = counts
         self._refine_changed = set()
         self._sweep()
 
@@ -1094,13 +1090,13 @@ class Store:
     def tracks(self) -> list[Track]:
         """A copy of the track list; the log read at open is replayed on first use."""
         if self._track_log is not None:
-            self._tracks = _replay_tracks(self._track_log)
+            self._tracks = _replay_tracks(self._track_log, *self._tracks_counts)
             self._track_log = None
         return list(self._tracks)
 
     def _track_count(self) -> int:
-        """The tracks held, read off the log's state record until it is replayed."""
-        return len(self._tracks) if self._track_log is None else _refine_state(self._track_log)[2]
+        """The tracks held, read off the manifest's count until the log is replayed."""
+        return len(self._tracks) if self._track_log is None else self._tracks_counts[0]
 
     def _index(self) -> TrackIndex:
         if self._track_index is None:
@@ -1132,9 +1128,9 @@ class Store:
         counts label rows; hourly_created and daily_created count rows added.
 
         Tracks whose sightings were rolled up keep their spans and fused
-        estimate; the commit appends to the .tracks log just a state record
-        with the cursor, renumbered with the detections it counts so that
-        detections appended later are still refined.
+        estimate, so the commit writes nothing to the .tracks log; the
+        manifest holds the cursor, renumbered with the detections it counts
+        so that detections appended later are still refined.
 
         The new summaries, cursor and tables are built apart and installed
         by the commit that publishes them, so a migration that fails leaves
@@ -1242,7 +1238,7 @@ class Store:
             tracks=self._track_count(),
             bytes_per_frame=nbytes / max(frames, 1),
             refine_state_bytes=self._tracks_bytes,
-            refine_log_rows=self._tracks_rows,
+            refine_log_rows=self._tracks_counts[1],
             frame_blocks=len(self._blocks),
             resident_frame_blocks=len(self._blocks) - self._resident_from + len(self._cold),
         )
@@ -1317,17 +1313,15 @@ def _roll_daily(rows: list, warm_us: int, merge) -> tuple[list, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# (de)serialization: a track row and a state record per framed record of the
-# .tracks log, and a flat row per activity summary in the manifest (a label
-# summary's row is its fields); a location is the six numbers of _loc_row
+# (de)serialization: a track row per framed record of the .tracks log, and a
+# flat row per activity summary in the manifest (a label summary's row is its
+# fields); a location is the six numbers of _loc_row
 
 TAG_TRACK = 4
-TAG_REFINE_STATE = 5
 # track id, kind code, *_loc_row, observation count, miss probability,
 # first and last sighting in us, first and last frame id; then the label
 _TRACK_ROW = struct.Struct("<IB6dIdqqII")
 _TRACK_ID = struct.Struct("<I")
-_REFINE_STATE = struct.Struct("<qqII")  # cursor, next track id, tracks, track rows
 
 
 def _loc_row(loc: LocationEstimate) -> list:
@@ -1357,41 +1351,22 @@ def _track_from_payload(payload: bytes) -> Track:
     )
 
 
-def _state_record(cursor: int, next_track_id: int, tracks: int, rows: int) -> bytes:
-    return segcodec.frame_record(TAG_REFINE_STATE,
-                                 _REFINE_STATE.pack(cursor, next_track_id, tracks, rows))
-
-
-_STATE_RECORD_SIZE = len(_state_record(0, 0, 0, 0))
-
-
-def _refine_state(log: bytes) -> tuple[int, int, int, int]:
-    """(cursor, next track id, tracks, track rows) from the state record
-    that ends a committed .tracks log."""
-    if len(log) >= _STATE_RECORD_SIZE:
-        for tag, payload in segcodec.framed_records(log[-_STATE_RECORD_SIZE:]):
-            if tag == TAG_REFINE_STATE:
-                return _REFINE_STATE.unpack(payload)
-    raise CorruptSegment("the .tracks log does not end in a state record")
-
-
-def _replay_tracks(log: bytes) -> list[Track]:
+def _replay_tracks(log: bytes, tracks: int, rows: int) -> list[Track]:
     """The tracks of a committed .tracks log: the last row of each track
-    id, in the order the ids first appear."""
-    _cursor, _next_id, tracks, rows = _refine_state(log)
+    id, in the order the ids first appear. The log must hold the given
+    counts of tracks and rows."""
     at: dict[int, int] = {}  # track id -> position
     last: list[bytes] = []   # the last row of each track, by position
     seen = 0
     for tag, payload in segcodec.framed_records(log):
-        if tag == TAG_TRACK:
-            seen += 1
-            pos = at.setdefault(_TRACK_ID.unpack_from(payload)[0], len(last))
-            if pos == len(last):
-                last.append(payload)
-            else:
-                last[pos] = payload
-        elif tag != TAG_REFINE_STATE:
+        if tag != TAG_TRACK:
             raise CorruptSegment(f"unknown .tracks record tag {tag}")
+        seen += 1
+        pos = at.setdefault(_TRACK_ID.unpack_from(payload)[0], len(last))
+        if pos == len(last):
+            last.append(payload)
+        else:
+            last[pos] = payload
     if (len(last), seen) != (tracks, rows):
         raise CorruptSegment(f"the .tracks log holds {len(last)} tracks in {seen} rows, "
                              f"not {tracks} in {rows}")

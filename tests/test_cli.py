@@ -124,7 +124,8 @@ def test_ingest_refine_bytes_per_frame_counts_refine_state(tmp_path, feed, capsy
 def test_ingest_refine_in_two_halves_counts_the_tracks_once(tmp_path, feed, capsys):
     """A feed cut at a frame line and ingested with --refine half by half
     counts the tracks of a one-shot ingest. The second half's flush appended
-    to the refine-state log, which is thus longer than the one-shot's."""
+    to the refine-state log: the manifest names the same .tracks file after
+    it as after the first half, and its committed length grew."""
     with open(feed) as fh:
         lines = fh.readlines()
     frames = [i for i, line in enumerate(lines) if '"type":"frame"' in line]
@@ -134,19 +135,35 @@ def test_ingest_refine_in_two_halves_counts_the_tracks_once(tmp_path, feed, caps
         halves.append(str(tmp_path / f"{name}.jsonl"))
         with open(halves[-1], "w") as fh:
             fh.writelines(part)
-    stats = {}
+    stats, logs = {}, []
     for store, feeds in (("halves", halves), ("whole", [feed])):
         root = str(tmp_path / store)
         assert main(["--store", root, "init"]) == 0
         for path in feeds:
             assert main(["--store", root, "ingest", "--feed", path, "--refine"]) == 0
+            with open(tmp_path / store / "manifest.json") as fh:
+                manifest = json.load(fh)
+            logs.append((manifest["tracks"], manifest["tracks_bytes"]))
         capsys.readouterr()
         rc, stats[store] = run_json(capsys, ["--store", root, "--format", "json", "stats"])
         assert rc == 0
     halves, whole = stats["halves"], stats["whole"]
     assert halves["tracks"] == whole["tracks"] == whole["refine_log_rows"] > 0
     assert halves["refine_log_rows"] >= halves["tracks"]
-    assert halves["refine_state_bytes"] > whole["refine_state_bytes"]
+    (first, first_bytes), (second, second_bytes) = logs[:2]
+    assert first == second and first_bytes < second_bytes == halves["refine_state_bytes"]
+
+
+def test_ingest_with_a_bad_refine_policy_ingests_nothing(tmp_path, feed, capsys):
+    """ingest --refine with an out-of-range policy value exits 2 before it
+    opens the store, which still holds no frame."""
+    store = str(tmp_path / "store")
+    assert main(["--store", store, "init"]) == 0
+    argv = ["--store", store, "ingest", "--feed", feed, "--refine", "--assoc-gap", "-1"]
+    assert main(argv) == 2
+    assert "assoc_max_gap_s must be positive" in capsys.readouterr().err
+    rc, stats = run_json(capsys, ["--store", store, "--format", "json", "stats"])
+    assert rc == 0 and (stats["frames"], stats["detections"]) == (0, 0)
 
 
 def test_ingest_rerun_rejects_duplicates(loaded, capsys):

@@ -53,7 +53,7 @@ from robomem.segment import (
     framed_records,
     scan_segment,
 )
-from robomem.store import FORMAT_VERSION, TAG_REFINE_STATE, TAG_TRACK, Store, TierPolicy
+from robomem.store import FORMAT_VERSION, TAG_TRACK, Store, TierPolicy
 
 from conftest import set_segment_max, small_scenario
 from oracle import canonicalize
@@ -162,13 +162,15 @@ def test_newer_version_refused(tmp_path, store):
     # log, version 6 with a count in each activity summary row, version 7
     # with its refine state as one JSON document, version 8 with a
     # segment's frames and detections sealed into one block, version 9
-    # with a fused location in each label summary row, and version 10 with
-    # block columns as plain little-endian items; nothing converts them
+    # with a fused location in each label summary row, version 10 with
+    # block columns as plain little-endian items, and version 11 with the
+    # refine cursor and counts in a state record ending the .tracks log;
+    # nothing converts them
     store.close()
     p = os.path.join(store.root, "manifest.json")
     with open(p) as fh:
         m = json.load(fh)
-    for version in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
+    for version in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
         m["version"] = version
         with open(p, "w") as fh:
             json.dump(m, fh)
@@ -568,6 +570,55 @@ def test_damaged_block_is_corruption(tmp_path):
         assert s.frame_by_id(oldest.frame_id) == served_frames([oldest])[0]
 
 
+def test_damaged_tracks_log_is_corruption(tmp_path):
+    """A .tracks log with a bit flipped in a track row or cut short of its
+    committed length, or a manifest whose track or row count differs from
+    what the log holds, is corruption: the first tracks() raises
+    CorruptSegment, read-only and read-write, and every file is left as it
+    was (a read-write open does not pad a short log out)."""
+    _gt, records = generate_scenario(small_scenario(seed=9, minutes=2.0))
+    root = str(tmp_path / "s")
+    with Store.create(root) as s:
+        ingest_stream(iter(records), s)
+        run_refinement_pass(s)
+    m = _manifest(root)
+    manifest_path = os.path.join(root, "manifest.json")
+    seg_dir = os.path.join(root, "segments")
+    path = os.path.join(seg_dir, m["tracks"])
+    log = _read(path)
+    assert [tag for tag, _ in framed_records(log)] == [TAG_TRACK] * m["refine"][3]
+    assert m["refine"][3] >= 2
+
+    def files():
+        return {n: _read(os.path.join(seg_dir, n)) for n in os.listdir(seg_dir)} | {
+            "manifest.json": _read(manifest_path)}
+
+    rng = random.Random(13)
+    cases = []
+    for _ in range(8):  # a bit flipped anywhere: every byte of the log is in a track row
+        data = bytearray(log)
+        data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        cases.append((bytes(data), m))
+    for _ in range(4):
+        cases.append((log[:rng.randrange(len(log))], m))
+    for i in (2, 3):  # the manifest's track count, then its row count
+        for delta in (-1, 1):
+            refine = list(m["refine"])
+            refine[i] += delta
+            cases.append((log, dict(m, refine=refine)))
+    for data, manifest in cases:
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh, separators=(",", ":"))
+        before = files()
+        for mode in ("ro", "rw"):
+            with Store.open(root, mode=mode) as s:
+                with pytest.raises(CorruptSegment):
+                    s.tracks()
+            assert files() == before
+
+
 def test_log_walk_ends_at_an_unknown_detection_kind():
     """A detection record whose kind byte is neither object (0) nor person
     (1) ends the walk of a log like any record that does not decode, even
@@ -922,15 +973,19 @@ def test_saved_refine_state_replaces_undecoded_rows(populated):
 
 def test_refine_state_saved_with_no_changed_track_survives_reopen(populated):
     """A state saved with an empty change set, whose cursor and next track
-    id differ from the last committed ones, is committed at the next flush."""
+    id differ from the last committed ones, is committed at the next flush,
+    in the manifest alone: the .tracks log does not grow."""
     store, _gt, _records = populated
     run_refinement_pass(store)
     store.flush()
     state = store.load_refine_state()
     assert state["cursor"] > 0
+    committed = _manifest(store.root)["tracks_bytes"]
     saved = {"cursor": 0, "next_track_id": state["next_track_id"] + 5}
     store.save_refine_state(dict(state, **saved), changed=[])
     store.flush()
+    assert len(_log_records(store.root)) == len(state["tracks"])
+    assert _manifest(store.root)["tracks_bytes"] == committed
     with Store.open(store.root, mode="ro") as reopened:
         got = reopened.load_refine_state()
         assert {k: got[k] for k in saved} == saved
@@ -950,7 +1005,7 @@ def _log_records(root, start=0):
 def test_flush_writes_refine_state_only_when_changed(populated):
     """A flush that leaves the refine state as committed appends nothing to
     the .tracks log. A pass that changes k tracks grows the same file by
-    their k rows, in track order, and one state record. A state saved
+    their k rows, in track order, and nothing else. A state saved
     without a change set is compacted into a fresh file, and the old one is
     deleted."""
     store, _gt, _records = populated
@@ -959,7 +1014,7 @@ def test_flush_writes_refine_state_only_when_changed(populated):
     run_refinement_pass(store)
     store.flush()
     n = len(store.tracks())
-    assert [tag for tag, _ in _log_records(store.root)] == [TAG_TRACK] * n + [TAG_REFINE_STATE]
+    assert [tag for tag, _ in _log_records(store.root)] == [TAG_TRACK] * n
     name = _manifest(store.root)["tracks"]
     path = os.path.join(store.root, "segments", name)
     size = os.path.getsize(path)
@@ -987,8 +1042,8 @@ def test_flush_writes_refine_state_only_when_changed(populated):
     reopened.flush()
     assert _manifest(store.root)["tracks"] == name
     grown = _log_records(store.root, size)
-    assert [tag for tag, _ in grown] == [TAG_TRACK] * k + [TAG_REFINE_STATE]
-    assert [int.from_bytes(p[:4], "little") for _, p in grown[:-1]] == [t.track_id for t in changed]
+    assert [tag for tag, _ in grown] == [TAG_TRACK] * k
+    assert [int.from_bytes(p[:4], "little") for _, p in grown] == [t.track_id for t in changed]
 
     snapshot = Store.open(store.root, mode="ro")
     stats = snapshot.stats()  # before the log is replayed: tracks, not rows
@@ -1001,7 +1056,7 @@ def test_flush_writes_refine_state_only_when_changed(populated):
     reopened.flush()
     compacted = _manifest(store.root)["tracks"]
     assert compacted != name and not os.path.exists(path)
-    assert [tag for tag, _ in _log_records(store.root)] == [TAG_TRACK] * len(after) + [TAG_REFINE_STATE]
+    assert [tag for tag, _ in _log_records(store.root)] == [TAG_TRACK] * len(after)
     assert reopened.stats().refine_log_rows == len(after)
     reopened.close()
     snapshot = Store.open(store.root, mode="ro")
@@ -1089,8 +1144,9 @@ def test_migration_shrinks_disk(tmp_path):
 def test_migration_keeps_refinement_going(tmp_path):
     """A migration that rolls up refined detections renumbers the refine
     cursor with them, so detections appended later are all refined. It
-    changes no track, so it appends one state record to the .tracks log and
-    no track row; a reopen reads the same tracks and the renumbered cursor."""
+    changes no track, so it leaves the .tracks log as it was, byte for
+    byte; a reopen reads the same tracks and, off the manifest, the
+    renumbered cursor."""
     _gt, records = generate_scenario(small_scenario(seed=2, minutes=3.0))
     frames = [r for r in records if isinstance(r, FrameMeta)]
     cut = records.index(frames[len(frames) // 2])
@@ -1115,16 +1171,16 @@ def test_migration_keeps_refinement_going(tmp_path):
     s.flush()
     assert _manifest(s.root)["tracks"] == name  # the second pass's rows were appended
     before, tracks = s.stats(), s.tracks()
-    size = before.refine_state_bytes
+    path = os.path.join(s.root, "segments", name)
+    log, refined = _read(path), s.load_refine_state()["cursor"]
     report = s.migrate_tiers(frames[0].ts + timedelta(seconds=90) + policy.hot_window, policy)
     assert report.detections_migrated > 0
     after = s.stats()
-    assert _manifest(s.root)["tracks"] == name
-    assert [tag for tag, _ in _log_records(s.root, size)] == [TAG_REFINE_STATE]
-    assert after.refine_state_bytes == size + len(store_module._state_record(0, 0, 0, 0))
-    assert (after.tracks, after.refine_log_rows) == (before.tracks, before.refine_log_rows)
+    assert _manifest(s.root)["tracks"] == name and _read(path) == log
+    assert (after.tracks, after.refine_log_rows, after.refine_state_bytes) == (
+        before.tracks, before.refine_log_rows, before.refine_state_bytes)
     cursor = s.load_refine_state()["cursor"]
-    assert cursor == s.detection_count()
+    assert cursor == s.detection_count() < refined
     s.close()
     reopened = Store.open(s.root, mode="ro")
     assert reopened.tracks() == tracks and reopened.load_refine_state()["cursor"] == cursor
@@ -1392,10 +1448,13 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
     sealed = set(_frame_blocks(root)) - set(blocks)
     assert bool(written) == (len(sealed) == 1) == (prepare is not _prepare_reprocess)
     if prepare is not _prepare_flush and prepare is not _prepare_reprocess:
-        # appended to the committed log (by a migration, its renumbered
-        # cursor alone), or compacted into a fresh one
+        # appended to the committed log, or compacted into a fresh one; a
+        # migration changes no track, so it appends to no log at all
         assert (_manifest(root)["tracks"] == tracks_file) == (prepare is not _prepare_compact)
-        assert calls["write"] >= 1 + (prepare is _prepare_refine_append)
+        if prepare in (_prepare_migrate, _prepare_migrate_cold):
+            assert calls["write"] == 0
+        else:
+            assert calls["write"] >= 1 + (prepare is _prepare_refine_append)
     for fail in calls:
         for k in range(1, calls[fail] + 1):
             root, _calls, failed, (_before, _tracks_file, blocks) = attempt(f"{fail}{k}", fail, k)
@@ -1487,6 +1546,7 @@ def test_writer_carries_on_after_a_failed_fsync(tmp_path, monkeypatch, operation
     if operation in ("refine-append", "migrate"):  # appended to the base's log, not compacted
         base_name, base_log = tracks_log(base)
         assert clean_log[0] == base_name and clean_log[1].startswith(base_log)
+        assert (clean_log[1] == base_log) == (operation == "migrate")  # a migration appends nothing
     want = before if operation == "migrate" else after
     for k in range(1, fsyncs + 1):
         st, _ = attempt(f"fail{k}", k)

@@ -109,7 +109,12 @@ def run_reprocess(store, request: ReprocessRequest, reprocessor: Reprocessor,
         raise ReprocessorFailure(f"reprocessor raised {type(e).__name__}: {e}") from e
     staged = _validate_returned(returned, request, store)
 
-    events = {(e.subject, e.name, e.start, e.end) for e in store.activities()}
+    # a held duplicate of a returned event lies within the returned events' span
+    returned_events = [rec for rec in staged if isinstance(rec, ActivityEvent)]
+    events = set()
+    if returned_events:
+        span = TimeRange(min(e.start for e in returned_events), max(e.end for e in returned_events))
+        events = {(e.subject, e.name, e.start, e.end) for e in store.activities(rng=span)}
     with store.writer_role("reprocess"):
         for rec in staged:
             if isinstance(rec, Detection):

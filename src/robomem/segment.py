@@ -10,6 +10,21 @@ the end of the log) is tolerated on open and truncated away; the same
 condition in any other segment means real corruption. The store's
 refine-state log uses the same framing (frame_record, framed_records).
 
+Besides the frame, detection and activity records of the feed, a log holds
+two record tags of the store's own, which are what make its appends
+durable without a manifest rewrite:
+
+    TAG_COVER   a coverage row (Cover): subject (or none), activity and the
+                analyzed time in us
+    TAG_COMMIT  a fixed-size commit record (Commit): the refine cursor, the
+                next track id, the tracks and track rows the refine-state
+                log holds, and that log's committed length
+
+Read with the offset the manifest has absorbed (scan_segment's `base`),
+a log counts every clean record before it, skipping the cover and commit
+records there, and past it only the records up to the end of the last
+clean commit record.
+
 The six-field frame record encodes in 51 bytes. Pose x/y keep full double
 precision (they feed location fusion); z/roll/pitch/yaw are stored as f32,
 which is ample for meters and degrees.
@@ -47,7 +62,7 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from itertools import repeat
 from operator import sub
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .errors import CorruptSegment
 from .model import (
@@ -65,6 +80,8 @@ from .model import (
 TAG_FRAME = 1
 TAG_DETECTION = 2
 TAG_ACTIVITY = 3
+TAG_COVER = 5  # tag 4 is a refine-state track row (store.TAG_TRACK)
+TAG_COMMIT = 6
 
 _HEADER = struct.Struct("<BH")
 _CRC = struct.Struct("<I")
@@ -72,7 +89,28 @@ _FRAME_BODY = struct.Struct("<Iq2d4f")
 _DET_BODY = struct.Struct("<IBd")
 _ACT_HEAD = struct.Struct("<qqdBBH")
 _LOC_BODY = struct.Struct("<5d")  # mean x, mean y, cov a, b, d (symmetric)
+_COVER_HEAD = struct.Struct("<qqBH")  # from_us, to_us, has a subject, subject length
+_COMMIT_BODY = struct.Struct("<QIIQQ")
 _KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}  # as a detection record codes it
+
+
+class Cover(NamedTuple):
+    """A coverage row: time a subject's activity was analyzed over."""
+    subject: Optional[str]  # None: any subject
+    activity: str
+    from_us: int
+    to_us: int
+
+
+class Commit(NamedTuple):
+    """What a commit record publishes besides the log's length: the refine
+    cursor, the next track id, the tracks and track rows the refine-state
+    log holds, and that log's committed length."""
+    cursor: int
+    next_track_id: int
+    tracks: int
+    rows: int
+    tracks_bytes: int
 
 
 def frame_record(tag: int, payload: bytes) -> bytes:
@@ -127,7 +165,19 @@ def encode_record(record: FeedRecord) -> bytes:
     raise TypeError(f"cannot encode {type(record).__name__}")
 
 
-def decode_payload(tag: int, payload: bytes) -> FeedRecord:
+def encode_cover(row: tuple) -> bytes:
+    """The cover record of a coverage row (subject, activity, from_us, to_us)."""
+    subject, activity, from_us, to_us = row
+    raw = b"" if subject is None else subject.encode("utf-8")
+    return frame_record(TAG_COVER, _COVER_HEAD.pack(from_us, to_us, subject is not None, len(raw))
+                        + raw + activity.encode("utf-8"))
+
+
+def encode_commit(commit: Commit) -> bytes:
+    return frame_record(TAG_COMMIT, _COMMIT_BODY.pack(*commit))
+
+
+def decode_payload(tag: int, payload: bytes) -> Union[FeedRecord, Cover, Commit]:
     if tag == TAG_FRAME:
         f, ts_us, x, y, z, roll, pitch, yaw = _FRAME_BODY.unpack(payload)
         return FrameMeta(frame_id=f, ts=ts_from_micros(ts_us),
@@ -152,6 +202,13 @@ def decode_payload(tag: int, payload: bytes) -> FeedRecord:
                              start=ts_from_micros(start_us), end=ts_from_micros(end_us),
                              loc=loc, prob=prob,
                              provenance="reprocessed" if prov else "ingested")
+    if tag == TAG_COVER:
+        from_us, to_us, has_subject, subj_len = _COVER_HEAD.unpack_from(payload)
+        off = _COVER_HEAD.size + subj_len
+        subject = payload[_COVER_HEAD.size:off].decode("utf-8") if has_subject else None
+        return Cover(subject, payload[off:].decode("utf-8"), from_us, to_us)
+    if tag == TAG_COMMIT:
+        return Commit(*_COMMIT_BODY.unpack(payload))
     raise CorruptSegment(f"unknown record tag {tag}")
 
 
@@ -266,6 +323,12 @@ class DetectionColumns:
             self.labels.append(label)
             self.postings += (array("q"), array("q"))
         return lid
+
+    def forget_labels(self, n: int) -> None:
+        """Drop the labels interned after the first n, which no detection has."""
+        for label in self.labels[n:]:
+            del self.label_ids[label.encode("utf-8")]
+        del self.labels[n:], self.postings[2 * n:]
 
     def extend(self, positions, label_ids, kinds, confidences) -> None:
         """Append detections given as parallel sequences and post them."""
@@ -485,7 +548,8 @@ def _placed(frame_ids: array, place: Placer) -> array:
 
 def scan_segment(data: bytes, frames: Optional[FrameColumns] = None,
                  detections: Optional[DetectionColumns] = None,
-                 place: Optional[Placer] = None) -> tuple[list[FeedRecord], int]:
+                 place: Optional[Placer] = None,
+                 base: Optional[int] = None) -> tuple[list, int]:
     """Decode records from a segment file's bytes: a record log, a frame
     block or a detection block.
 
@@ -498,6 +562,12 @@ def scan_segment(data: bytes, frames: Optional[FrameColumns] = None,
     `place` (default frames.positions); their frames must be there by the
     end of the segment. A detection block returns its detections, then its
     activities.
+
+    Given `base`, the offset of a log that a manifest has absorbed, the
+    cover and commit records before it are skipped, and past it records
+    count only up to the end of the last commit record: good_bytes is that
+    end (or base), the records after it are neither returned nor put in
+    the tables, and the covers and commits before it are returned in order.
     """
     if frames is not None and place is None:
         place = frames.positions
@@ -505,14 +575,24 @@ def scan_segment(data: bytes, frames: Optional[FrameColumns] = None,
         return _scan_frame_block(data, frames)
     if data.startswith(_DETECTION_MAGIC):
         return _scan_detection_block(data, detections if frames is not None else None, place)
-    return _scan_log(data, frames, detections, place)
+    if base is None:
+        return _scan_log(data, frames, detections, place)
+    records, good = _scan_log(data, frames, detections, place, end=base)
+    records = [r for r in records if not isinstance(r, (Cover, Commit))]  # the manifest holds them
+    if good == base:
+        committed, good = _scan_log(data, frames, detections, place, start=base, commits=True)
+        records += committed
+    return records, good
 
 
 def _scan_log(data: bytes, frames: Optional[FrameColumns],
-              detections: Optional[DetectionColumns],
-              place: Optional[Placer] = None) -> tuple[list[FeedRecord], int]:
-    """scan_segment of a record log, walked one record at a time."""
-    records: list[FeedRecord] = []
+              detections: Optional[DetectionColumns], place: Optional[Placer] = None,
+              start: int = 0, end: Optional[int] = None,
+              commits: bool = False) -> tuple[list, int]:
+    """scan_segment of a record log from offset `start` to `end`, walked one
+    record at a time. With `commits`, what follows the last commit record
+    is dropped, and the offset returned is that record's end (or start)."""
+    records: list = []
     rows: list[tuple] = []  # frame bodies bound for `frames`
     sighted = array("q")  # frame ids of the detections bound for `detections`
     label_ids, kinds, confidences = array("i"), array("b"), array("d")
@@ -522,9 +602,14 @@ def _scan_log(data: bytes, frames: Optional[FrameColumns],
     head, crc_at = _HEADER.unpack_from, _CRC.unpack_from
     frame_at, det_at = _FRAME_BODY.unpack_from, _DET_BODY.unpack_from
     known = detections.label_ids if take_detections else {}
+    # with commits, frames move to the table only at a commit record
+    rows_held = -1 if commits else _ROWS_HELD
+    # at the end of the last commit record: its offset, and the records,
+    # frame rows, detections and labels walked
+    counted = (start, 0, 0, 0, len(detections.labels) if take_detections else 0)
     view = memoryview(data)
-    off = 0
-    n = len(data)
+    off = start
+    n = len(data) if end is None else min(end, len(data))
     while off + _HEADER.size + _CRC.size <= n:
         tag, plen = head(data, off)
         body_end = off + _HEADER.size + plen
@@ -534,7 +619,7 @@ def _scan_log(data: bytes, frames: Optional[FrameColumns],
             break
         if take_frames and tag == TAG_FRAME and plen == frame_size:
             rows.append(frame_at(data, off + _HEADER.size))
-            if len(rows) == _ROWS_HELD:
+            if len(rows) == rows_held:
                 frames.extend(rows)
                 rows.clear()
         elif take_detections and tag == TAG_DETECTION and plen >= det_size:
@@ -557,7 +642,20 @@ def _scan_log(data: bytes, frames: Optional[FrameColumns],
                 records.append(decode_payload(tag, data[off + _HEADER.size:body_end]))
             except (CorruptSegment, struct.error, UnicodeDecodeError):
                 break
+            if commits and tag == TAG_COMMIT:
+                if len(rows) >= _ROWS_HELD:
+                    frames.extend(rows)
+                    rows.clear()
+                counted = (body_end + _CRC.size, len(records), len(rows), len(sighted),
+                           len(detections.labels) if take_detections else 0)
         off = body_end + _CRC.size
+    if commits:  # drop what follows the last commit record
+        off, n_records, n_rows, n_detections, n_labels = counted
+        del records[n_records:], rows[n_rows:]
+        for column in (sighted, label_ids, kinds, confidences):
+            del column[n_detections:]
+        if take_detections:
+            detections.forget_labels(n_labels)
     if take_frames:
         frames.extend(rows)
     if sighted:
@@ -566,17 +664,19 @@ def _scan_log(data: bytes, frames: Optional[FrameColumns],
 
 
 def read_segment(path, tolerate_tail: bool, frames: FrameColumns,
-                 detections: Optional[DetectionColumns] = None, size: int = -1,
-                 place: Optional[Placer] = None) -> tuple[list[FeedRecord], int]:
-    """Read one segment file, a log or a block, or its first `size` bytes;
-    raise CorruptSegment on a torn tail unless tolerated (only a log's tail
-    is ever tolerated, and a block fails whole).
+                 detections: Optional[DetectionColumns] = None,
+                 place: Optional[Placer] = None,
+                 base: Optional[int] = None) -> tuple[list, int]:
+    """Read one segment file, a log or a block; raise CorruptSegment on a
+    torn tail unless tolerated (only a log's tail is ever tolerated, and a
+    block fails whole).
 
     Frame and detection records go into `frames` and `detections` (see
-    scan_segment); the other records are returned."""
+    scan_segment, which also says what `base` does); the other records
+    are returned."""
     with open(path, "rb") as fh:
-        data = fh.read(size)
-    records, good = scan_segment(data, frames, detections, place)
+        data = fh.read()
+    records, good = scan_segment(data, frames, detections, place, base)
     if good != len(data) and not tolerate_tail:
         raise CorruptSegment(f"{path}: bad record at offset {good}")
     return records, good

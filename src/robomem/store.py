@@ -2,20 +2,24 @@
 
 On-disk layout under the store root:
 
-    manifest.json         the store's one commit record, written atomically
-                          (tmp + rename): the frame block directory, the
-                          hot cutoff of the last migration (hot_from_us,
+    manifest.json         the store's checkpoint, written atomically (tmp +
+                          rename) only when the set of files changes (a
+                          seal, a new log, a compaction of the .tracks log,
+                          a migration) or a commit finds no log to append
+                          to. It holds the frame block directory,
+                          the hot cutoff of the last migration (hot_from_us,
                           null before the first), the names of the live
-                          detection blocks and log, the committed length of
-                          the log, the name of the refine-state log (null
-                          before the first refinement) and its committed
-                          length, the refine state's scalars as [cursor,
-                          next track id, tracks, track rows] (the last two
-                          count what the committed .tracks log holds), the
-                          warm (hourly) and cold (daily) tier summaries as
-                          flat rows, and the analyzed time as (subject,
-                          activity, from_us, to_us) coverage rows. One
-                          rename publishes all of them. A summary row
+                          detection blocks and log, the log offset it has
+                          absorbed (log_bytes), the name of the refine-state
+                          log (null before the first refinement) and its
+                          committed length, the refine state's scalars as
+                          [cursor, next track id, tracks, track rows] (the
+                          last two count what the committed .tracks log
+                          holds), the warm (hourly) and cold (daily) tier
+                          summaries as flat rows, and the analyzed time as
+                          (subject, activity, from_us, to_us) coverage
+                          rows, all as of that offset. One rename
+                          publishes all of them. A summary row
                           is immutable, and there is one per (what, tier,
                           bucket), what being a label and kind or a subject
                           and activity: a migration merges into a bucket's
@@ -43,10 +47,22 @@ On-disk layout under the store root:
                           detections and activities it keeps as fresh
                           detection blocks, and rewrites no frame block.
     segments/NNNN.seg     the log: the last segment, if it is not sealed,
-                          as append-only framed records. Bytes past its
-                          committed length are appends no commit published:
-                          open does not read them, and a read-write open
-                          cuts them off.
+                          as append-only framed records, and the commit
+                          point of every flush that changes no file. Such
+                          a flush appends, in one write, its records, a
+                          cover record per coverage row added and a
+                          fixed-size commit record (segment.Commit: the
+                          refine scalars and the .tracks log's committed
+                          length). Past the manifest's log_bytes a record
+                          counts only up to the end of the last commit
+                          record, which overrides the manifest's refine
+                          scalars and .tracks length; the covers there add
+                          to its coverage. Bytes past the last commit are
+                          appends no commit published: open does not read
+                          them, and a read-write open cuts them off. Cover
+                          and commit records do not count toward
+                          segment_max_records, and a seal leaves them out
+                          of its blocks.
     segments/NNNN.tracks  the refine-state log: track rows, framed as the
                           log's records are (segment.frame_record). A row
                           is one track packed as binary: track id, kind,
@@ -56,23 +72,24 @@ On-disk layout under the store root:
                           span) and the label. The last row of a track id wins, and the
                           tracks are in the order their ids first appear.
                           A commit appends the rows of the tracks changed
-                          since the last, and the manifest records the
-                          committed length; bytes past it are treated as
-                          the log's are. A commit that changes no track (a
-                          migration, which only renumbers the cursor)
-                          writes nothing here. A state saved without a
-                          change set, or a log that would hold more than
-                          twice as many rows as tracks, is instead written
-                          whole (compacted) to a fresh file under a new
-                          number from the segments' counter, before the
-                          manifest that names it.
+                          since the last, before the commit record (or
+                          manifest) that records the committed length;
+                          bytes past it are treated as the log's are. A
+                          commit that changes no track (a migration, which
+                          only renumbers the cursor) writes nothing here.
+                          A state saved without a change set, or a log
+                          that would hold more than twice as many rows as
+                          tracks, is instead written whole (compacted) to a
+                          fresh file under a new number from the segments'
+                          counter, before the manifest that names it.
     lock                  writer lock, held with flock by the writing process
 
 A file in segments/ that the manifest does not name is garbage, and so are
 the .tracks log's bytes past its committed length: a commit drops both right
-after the manifest rename, and so does a read-write open.
-A crash at any point thus leaves the store as one manifest describes it,
-and a file is never renamed into place except the manifest.
+after a manifest rename, and so does a read-write open.
+A crash at any point thus leaves the store as one manifest and the log's
+commit records past it describe it, and a file is never renamed into place
+except the manifest.
 
 The segments and the manifest are authoritative. The frame blocks, then the
 log, hold the frame table in order; the detection blocks, then the log, hold
@@ -164,7 +181,7 @@ from .model import (
 )
 from .refine import TrackIndex, index_tracks, observation_at, track_containing
 
-FORMAT_VERSION = 12
+FORMAT_VERSION = 13
 DEFAULT_SEGMENT_RECORDS = 8192
 # Cold frame blocks held decoded after a read, least recently used dropped
 # first: enough that reads spread over a few days of history do not reread
@@ -343,6 +360,9 @@ class StoreStats:
     refine_log_rows: int     # track rows in it, which compaction brings down to `tracks`
     frame_blocks: int        # in the block directory
     resident_frame_blocks: int  # of those, held in memory: the resident ones and the cold ones cached
+    refine_lag: int          # detections past the refine cursor
+    log_bytes: int           # the committed length of the record log (0 if there is none)
+    coverage_spans: int      # coverage rows: analyzed time per subject and activity
 
 
 def _write_durable(path: str, data: bytes) -> None:
@@ -387,7 +407,11 @@ class Store:
         self.root = root
         self.mode = mode
         self._segments: list[str] = []          # live detection blocks, then the log if any
-        self._log_bytes = 0                     # the log's durable length
+        self._log_bytes = 0                     # the log's committed length
+        # True while the files the manifest names are not those held: no
+        # manifest yet, or a seal, a new log or a compaction since the last
+        # manifest rewrite
+        self._files_changed = True
         # (frames, detections, activities) held before the log's first record,
         # and held in the segment files
         self._log_start = (0, 0, 0)
@@ -409,13 +433,14 @@ class Store:
         self._activity_summaries: list[ActivitySummary] = []
         # analyzed time: (subject, activity, from_us, to_us) per span
         self._coverage: list[tuple[Optional[str], str, int, int]] = []
+        self._covered = 0                       # coverage rows committed
         self._refine_cursor = 0                 # detections refined so far
         self._next_track_id = 0
         self._tracks: list[Track] = []
         self._track_log: Optional[bytes] = None  # the committed .tracks log until first replayed
         self._tracks_file: Optional[str] = None  # the committed .tracks log's name
-        self._tracks_bytes = 0                   # its committed length
-        self._tracks_counts = (0, 0)             # the tracks and track rows in it
+        # the refine state and .tracks log length committed last
+        self._committed = segcodec.Commit(0, 0, 0, 0, 0)
         # positions of the tracks changed since the last commit; None when
         # the next commit must write the state whole
         self._refine_changed: Optional[set[int]] = set()
@@ -440,7 +465,7 @@ class Store:
         try:
             if os.path.exists(os.path.join(root, "manifest.json")):
                 raise FileExistsError(f"a store already exists: {root}")
-            store._commit()
+            store._commit()  # no manifest yet: one is written
         except BaseException:
             store._release_lock()
             raise
@@ -455,7 +480,11 @@ class Store:
         deletes the files the manifest does not name. A read-only open that
         finds a named file gone reads the manifest again, since a writer
         committed and deleted the file meanwhile; it raises only if the
-        manifest did not change."""
+        manifest did not change. One that took commit records past the
+        manifest's log_bytes reads the manifest again too, and loads anew
+        if it changed: a writer may have rewritten it while keeping the
+        log (a migration that rolls summaries only) before it appended the
+        commits read, which follow the newer manifest."""
         if mode not in ("rw", "ro"):
             raise ValueError("mode must be 'rw' or 'ro'")
         manifest_path = os.path.join(root, "manifest.json")
@@ -467,14 +496,19 @@ class Store:
         try:
             data = _read_bytes(manifest_path)
             while True:
+                manifest = json.loads(data)
                 try:
-                    store._load(json.loads(data))
-                    break
+                    store._load(manifest)
+                    if mode == "rw" or store._log_bytes <= manifest["log_bytes"]:
+                        break
+                    seen, data = data, _read_bytes(manifest_path)
+                    if data == seen:
+                        break
                 except FileNotFoundError:
                     seen, data = data, _read_bytes(manifest_path)
                     if mode == "rw" or data == seen:
                         raise
-                    store = cls(root, mode)
+                store = cls(root, mode)
             if mode == "rw":
                 store._sweep()
         except BaseException:
@@ -520,34 +554,43 @@ class Store:
         self._cold_frames = sum(b.count for b in self._blocks[:k])
         for block in self._blocks[k:]:
             self._read_frame_block(block, self._frames)
+        self._coverage = [tuple(c) for c in manifest["coverage"]]
+        committed = segcodec.Commit(*manifest["refine"], manifest["tracks_bytes"])
         self._segments = list(manifest["segments"])
         for name in self._segments:
             path = os.path.join(self.root, "segments", name)
             is_log = name.endswith(".seg")
             if is_log:
                 self._log_start = self._held()  # the log starts after the blocks
-            # the log is read only as far as the manifest committed it
+            # the log is read to the end of its last commit record
             records, good = segcodec.read_segment(
                 path, tolerate_tail=is_log, frames=self._frames, detections=self._detections,
-                size=manifest["log_bytes"] if is_log else -1, place=self._place)
-            if is_log:
-                if self.mode == "rw":
-                    _cut(path, good)
-                self._log_bytes = good
-            self._activities.extend(records)  # the records left are activities
+                place=self._place, base=manifest["log_bytes"] if is_log else None)
+            if not is_log:
+                self._activities += records  # a block's records left are its activities
+                continue
+            if self.mode == "rw":
+                _cut(path, good)
+            self._log_bytes = good
+            for rec in records:  # activities, covers and commits
+                if isinstance(rec, segcodec.Commit):
+                    committed = rec
+                elif isinstance(rec, segcodec.Cover):
+                    self._coverage.append(rec)
+                else:
+                    self._activities.append(rec)
         self._durable = self._held()
         if not self._has_log():
             self._log_start = self._durable
+        self._files_changed = False
         self._label_summaries = [LabelSummary(*row) for row in manifest["labels"]]
         self._activity_summaries = [_activity_summary_from_row(r) for r in manifest["activities"]]
-        self._coverage = [tuple(c) for c in manifest["coverage"]]
-        self._refine_cursor, self._next_track_id, *counts = manifest["refine"]
-        self._tracks_counts = tuple(counts)
+        self._refine_cursor, self._next_track_id = committed.cursor, committed.next_track_id
+        self._mark_committed(committed)
         self._tracks_file = manifest["tracks"]
         if self._tracks_file is not None:
-            self._tracks_bytes = manifest["tracks_bytes"]
             with open(os.path.join(self.root, "segments", self._tracks_file), "rb") as fh:
-                self._track_log = fh.read(self._tracks_bytes)
+                self._track_log = fh.read(committed.tracks_bytes)
 
     # ----------------------------------------------------------------- writes
 
@@ -593,21 +636,25 @@ class Store:
         pending = self._pending
         while pending:
             held = sum(self._durable) - sum(self._log_start)  # records in the log
+            if held + len(pending) < self._segment_max:
+                break  # the rest fits in the log: the commit appends it
             chunk = pending[:max(self._segment_max - held, 0)]
-            tags = bytes(rec[0] for rec in chunk)
-            f, d, a = self._durable
-            end = (f + tags.count(segcodec.TAG_FRAME), d + tags.count(segcodec.TAG_DETECTION),
-                   a + tags.count(segcodec.TAG_ACTIVITY))
-            if held + len(chunk) >= self._segment_max:
-                self._seal(end)
-            else:
-                self._append_log(b"".join(chunk))
+            end = self._end_of(chunk)
+            self._seal(end)
             self._durable = end
             del pending[:len(chunk)]
         self._commit()
 
     def _held(self) -> tuple[int, int, int]:
         return self.frame_count(), len(self._detections), len(self._activities)
+
+    def _end_of(self, records: list[bytes]) -> tuple[int, int, int]:
+        """The (frames, detections, activities) held durable once the
+        encoded records follow those held durable now."""
+        tags = bytes(rec[0] for rec in records)
+        f, d, a = self._durable
+        return (f + tags.count(segcodec.TAG_FRAME), d + tags.count(segcodec.TAG_DETECTION),
+                a + tags.count(segcodec.TAG_ACTIVITY))
 
     def _has_log(self) -> bool:
         return bool(self._segments) and self._segments[-1].endswith(".seg")
@@ -632,6 +679,7 @@ class Store:
         self._segments += sealed
         self._log_start = end
         self._log_bytes = 0
+        self._files_changed = True
 
     def _write_frame_block(self, name: str, start: int, end: int) -> FrameBlock:
         """Write frames start:end (counted over the whole table, and
@@ -645,71 +693,115 @@ class Store:
 
     def _append_log(self, data: bytes) -> None:
         """Append records to the log, starting one if there is none. Bytes
-        a failed flush left past the log's durable length are cut first."""
+        a failed flush left past the log's committed length are cut first."""
         new = not self._has_log()
         name = self._new_name(".seg") if new else self._segments[-1]
         _append_durable(os.path.join(self.root, "segments", name), self._log_bytes, data)
         if new:
             self._segments.append(name)
+            self._files_changed = True
         self._log_bytes += len(data)
 
     def _commit(self, **new) -> None:
-        """Publish the segments, the refine state, the tier summaries and the
-        coverage with one manifest rename, then delete every file in
-        segments/ that the manifest does not name.
+        """Make the pending records, which fit in the log, and the state
+        changed since the last commit durable: the refine state, the
+        coverage rows added, and `new` (see _write_manifest).
 
-        The refine state's cursor, next track id and counts ride in the
-        manifest. Changed tracks first go to the .tracks log: their rows are
-        appended past its committed length, which the manifest then moves.
-        The tracks are instead written whole to a fresh .tracks file when
-        the state was saved without a change set, when there is no log yet,
-        or when the log would hold more than twice as many rows as tracks.
-        A commit that changes no track, such as a migration's, writes
-        nothing to the log. Neither write needs a tmp file or rename: no
-        reader reads past the committed length or opens a file before the
-        manifest names it, and if the commit fails the next one cuts the
-        appended rows off, or the fresh file is garbage.
+        Changed tracks first go to the .tracks log (_save_tracks). Then,
+        while the files the manifest names stay as they are, one append to
+        the log carries the pending records, a cover record per coverage
+        row added and a commit record (segment.Commit), so a commit costs
+        one fsync, two after a refinement pass, and a commit with nothing
+        to carry writes nothing. A commit that changes the file set (a
+        seal, a new log, a compaction, a migration) or finds no log to
+        append to appends the pending records alone and then rewrites the
+        manifest, which absorbs the log up to its end."""
+        tracks_file, state = self._save_tracks(new.get("_refine_cursor", self._refine_cursor))
+        pending, covers = self._pending, self._coverage[self._covered:]
+        rewrite = bool(new) or self._files_changed
+        if not (rewrite or pending or covers or state != self._committed):
+            return
+        in_log = not rewrite and self._has_log()  # the commit rides in the log
+        records = pending
+        if in_log:
+            records = pending + list(map(segcodec.encode_cover, covers)) + [
+                segcodec.encode_commit(state)]
+        if records:
+            end = self._end_of(pending)
+            self._append_log(b"".join(records))
+            self._durable = end
+            pending.clear()
+        if in_log:
+            self._mark_committed(state)
+        else:
+            self._write_manifest(state, _tracks_file=tracks_file, **new)
 
-        `new` maps store attributes to the values to publish in place of
-        their own (a migration's segments, summaries, cursor and tables);
-        they are set only once the manifest is renamed, so a commit that
-        fails leaves the store as it was."""
-        def state(name):
-            return new[name] if name in new else getattr(self, name)
-        tracks_file, tracks_bytes = self._tracks_file, self._tracks_bytes
-        counts, changed = self._tracks_counts, self._refine_changed
+    def _save_tracks(self, cursor: int) -> tuple[Optional[str], segcodec.Commit]:
+        """Write the tracks changed since the last commit to the .tracks
+        log, and return its name and the commit that publishes it with the
+        cursor.
+
+        The changed tracks' rows are appended past the log's committed
+        length. The tracks are instead written whole to a fresh .tracks
+        file when the state was saved without a change set, when there is
+        no log yet, or when the log would hold more than twice as many rows
+        as tracks. Neither write needs a tmp file or rename: no reader reads
+        past the committed length or opens a file before the manifest names
+        it, and if the commit fails the next one cuts the appended rows
+        off, or the fresh file is garbage."""
+        tracks_file, (_c, _t, n, rows, size) = self._tracks_file, self._committed
+        changed = self._refine_changed
         if changed is None or changed:
-            n, rows = self._track_count(), counts[1]
+            n = self._track_count()
             if changed is None or tracks_file is None or rows + len(changed) > 2 * n:
                 self.tracks()  # replays the log read at open
                 rows, changed = 0, range(n)
-                tracks_file, tracks_bytes = self._new_name(".tracks"), 0
+                tracks_file, size = self._new_name(".tracks"), 0
+                self._files_changed = True
             data = b"".join(_track_record(self._tracks[p]) for p in sorted(changed))
-            _append_durable(os.path.join(self.root, "segments", tracks_file), tracks_bytes, data)
-            tracks_bytes += len(data)
-            counts = (n, rows + len(changed))
+            _append_durable(os.path.join(self.root, "segments", tracks_file), size, data)
+            size += len(data)
+            rows += len(changed)
+        return tracks_file, segcodec.Commit(cursor, self._next_track_id, n, rows, size)
+
+    def _mark_committed(self, state: segcodec.Commit) -> None:
+        self._committed = state
+        self._covered = len(self._coverage)
+        self._refine_changed = set()
+
+    def _write_manifest(self, state: segcodec.Commit, **new) -> None:
+        """Publish the segments, the .tracks log, the refine state `state`,
+        the tier summaries and the coverage with one manifest rename, then
+        delete every file in segments/ that the manifest does not name. The
+        manifest absorbs the log up to its committed length.
+
+        `new` maps store attributes to the values to publish in place of
+        their own (the .tracks log's name, a migration's segments,
+        summaries, cursor and tables); they are set only once the manifest
+        is renamed, so a commit that fails leaves the store as it was."""
+        def value(name):
+            return new[name] if name in new else getattr(self, name)
         path = os.path.join(self.root, "manifest.json")
         _write_durable(path + ".tmp", _json_bytes({
             "version": FORMAT_VERSION,
             "segment_max_records": self._segment_max,
-            "frames": [list(b) for b in state("_blocks")],
-            "hot_from_us": state("_hot_from_us"),
-            "segments": state("_segments"),
-            "log_bytes": state("_log_bytes"),
+            "frames": [list(b) for b in value("_blocks")],
+            "hot_from_us": value("_hot_from_us"),
+            "segments": value("_segments"),
+            "log_bytes": value("_log_bytes"),
             "next_segment_no": self._next_segment_no,
-            "tracks": tracks_file,
-            "tracks_bytes": tracks_bytes,
-            "refine": [state("_refine_cursor"), self._next_track_id, *counts],
-            "labels": [_LABEL_ROW(s) for s in state("_label_summaries")],
-            "activities": [_activity_summary_row(s) for s in state("_activity_summaries")],
+            "tracks": value("_tracks_file"),
+            "tracks_bytes": state.tracks_bytes,
+            "refine": list(state[:4]),
+            "labels": [_LABEL_ROW(s) for s in value("_label_summaries")],
+            "activities": [_activity_summary_row(s) for s in value("_activity_summaries")],
             "coverage": self._coverage,
         }))
         os.replace(path + ".tmp", path)
-        for name, value in new.items():
-            setattr(self, name, value)
-        self._tracks_file, self._tracks_bytes = tracks_file, tracks_bytes
-        self._tracks_counts = counts
-        self._refine_changed = set()
+        for name, v in new.items():
+            setattr(self, name, v)
+        self._files_changed = False
+        self._mark_committed(state)
         self._sweep()
 
     def _new_name(self, suffix: str) -> str:
@@ -732,7 +824,7 @@ class Store:
             if name not in named:
                 os.unlink(os.path.join(seg_dir, name))
         if self._tracks_file is not None:
-            _cut(os.path.join(seg_dir, self._tracks_file), self._tracks_bytes)
+            _cut(os.path.join(seg_dir, self._tracks_file), self._committed.tracks_bytes)
 
     def close(self, flush: bool = True) -> None:
         if self._closed:
@@ -1090,13 +1182,14 @@ class Store:
     def tracks(self) -> list[Track]:
         """A copy of the track list; the log read at open is replayed on first use."""
         if self._track_log is not None:
-            self._tracks = _replay_tracks(self._track_log, *self._tracks_counts)
+            self._tracks = _replay_tracks(self._track_log, self._committed.tracks,
+                                          self._committed.rows)
             self._track_log = None
         return list(self._tracks)
 
     def _track_count(self) -> int:
         """The tracks held, read off the manifest's count until the log is replayed."""
-        return len(self._tracks) if self._track_log is None else self._tracks_counts[0]
+        return len(self._tracks) if self._track_log is None else self._committed.tracks
 
     def _index(self) -> TrackIndex:
         if self._track_index is None:
@@ -1237,10 +1330,13 @@ class Store:
             detections=len(self._detections),
             tracks=self._track_count(),
             bytes_per_frame=nbytes / max(frames, 1),
-            refine_state_bytes=self._tracks_bytes,
-            refine_log_rows=self._tracks_counts[1],
+            refine_state_bytes=self._committed.tracks_bytes,
+            refine_log_rows=self._committed.rows,
             frame_blocks=len(self._blocks),
             resident_frame_blocks=len(self._blocks) - self._resident_from + len(self._cold),
+            refine_lag=len(self._detections) - self._refine_cursor,
+            log_bytes=self._log_bytes,
+            coverage_spans=len(self._coverage),
         )
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -125,7 +126,8 @@ def test_ingest_refine_in_two_halves_counts_the_tracks_once(tmp_path, feed, caps
     """A feed cut at a frame line and ingested with --refine half by half
     counts the tracks of a one-shot ingest. The second half's flush appended
     to the refine-state log: the manifest names the same .tracks file after
-    it as after the first half, and its committed length grew."""
+    it as after the first half, and its committed length, as stats reads
+    it, grew."""
     with open(feed) as fh:
         lines = fh.readlines()
     frames = [i for i, line in enumerate(lines) if '"type":"frame"' in line]
@@ -141,17 +143,43 @@ def test_ingest_refine_in_two_halves_counts_the_tracks_once(tmp_path, feed, caps
         assert main(["--store", root, "init"]) == 0
         for path in feeds:
             assert main(["--store", root, "ingest", "--feed", path, "--refine"]) == 0
+            capsys.readouterr()
+            rc, stats[store] = run_json(capsys, ["--store", root, "--format", "json", "stats"])
+            assert rc == 0
             with open(tmp_path / store / "manifest.json") as fh:
-                manifest = json.load(fh)
-            logs.append((manifest["tracks"], manifest["tracks_bytes"]))
-        capsys.readouterr()
-        rc, stats[store] = run_json(capsys, ["--store", root, "--format", "json", "stats"])
-        assert rc == 0
+                logs.append((json.load(fh)["tracks"], stats[store]["refine_state_bytes"]))
     halves, whole = stats["halves"], stats["whole"]
     assert halves["tracks"] == whole["tracks"] == whole["refine_log_rows"] > 0
     assert halves["refine_log_rows"] >= halves["tracks"]
     (first, first_bytes), (second, second_bytes) = logs[:2]
     assert first == second and first_bytes < second_bytes == halves["refine_state_bytes"]
+
+
+def test_stats_reports_refine_lag_log_bytes_and_coverage_spans(tmp_path, feed, capsys):
+    """stats --format json reports the detections past the refine cursor,
+    the log's committed length and the coverage rows, each as the store
+    itself counts them."""
+    store = str(tmp_path / "store")
+    assert main(["--store", store, "init"]) == 0
+    assert main(["--store", store, "ingest", "--feed", feed]) == 0
+    capsys.readouterr()
+    rc, unrefined = run_json(capsys, ["--store", store, "--format", "json", "stats"])
+    assert rc == 0
+    with Store.open(store, mode="ro") as s:
+        lag = s.detection_count() - s.load_refine_state()["cursor"]
+        ingested = s.activities()
+    with open(os.path.join(store, "manifest.json")) as fh:
+        log = os.path.join(store, "segments", json.load(fh)["segments"][-1])
+    assert unrefined["refine_lag"] == lag == unrefined["detections"] > 0
+    assert unrefined["log_bytes"] == os.path.getsize(log) > 0
+    assert unrefined["coverage_spans"] == len(ingested) > 0  # an ingested event is analyzed time
+    assert main(["--store", store, "refine"]) == 0
+    capsys.readouterr()
+    rc, refined = run_json(capsys, ["--store", store, "--format", "json", "stats"])
+    assert rc == 0 and refined["refine_lag"] == 0
+    # the first pass starts the .tracks log, a new file: the manifest is
+    # rewritten to name it, and the log gains no commit record
+    assert refined["log_bytes"] == os.path.getsize(log) == unrefined["log_bytes"]
 
 
 def test_ingest_with_a_bad_refine_policy_ingests_nothing(tmp_path, feed, capsys):

@@ -13,6 +13,7 @@ from robomem.errors import ParseError
 from robomem.ingest import MAX_ERRORS, ingest_stream, parse_feed_line, read_feed, write_feed
 from robomem.model import ActivityEvent, Detection, FrameMeta, Pose, ts_parse
 from robomem.scenario import ScenarioConfig, generate_scenario
+from robomem.segment import TAG_COMMIT, TAG_COVER, framed_records
 from robomem.store import Store
 
 from conftest import set_segment_max, small_scenario
@@ -206,7 +207,9 @@ def test_a_failing_source_keeps_the_segments_flushed_before_it(tmp_path):
 def test_ingest_writes_the_files_of_one_flush(tmp_path):
     """The flushes ingest makes along the way seal where one flush at the
     end seals, also after a log left by an earlier ingest, so both leave the
-    same files and manifest."""
+    same blocks, byte for byte, the same file names and block directory,
+    and the same feed records in the log; only the log's commit records
+    fall where each one's flushes fell."""
     _gt, records = generate_scenario(small_scenario(seed=3, minutes=1.0))
     ingested, appended = (_segmented_store(str(tmp_path / name), 200) for name in ("i", "a"))
     with Store.open(ingested) as s:
@@ -219,14 +222,21 @@ def test_ingest_writes_the_files_of_one_flush(tmp_path):
             s.flush()
 
     def files(root):
-        paths = [os.path.join("segments", name) for name in os.listdir(os.path.join(root, "segments"))]
         out = {}
-        for path in paths + ["manifest.json"]:
-            with open(os.path.join(root, path), "rb") as fh:
-                out[path] = fh.read()
+        for name in os.listdir(os.path.join(root, "segments")):
+            with open(os.path.join(root, "segments", name), "rb") as fh:
+                out[name] = fh.read()
+            if name.endswith(".seg"):
+                out[name] = [(tag, payload) for tag, payload in framed_records(out[name])
+                             if tag not in (TAG_COVER, TAG_COMMIT)]
+        with open(os.path.join(root, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        out["manifest.json"] = manifest["frames"], manifest["segments"]
         return out
     assert files(ingested) == files(appended)
-    assert len(json.loads(files(ingested)["manifest.json"])["frames"]) == 2
+    assert len(files(ingested)["manifest.json"][0]) == 2
+    with Store.open(ingested, mode="ro") as s, Store.open(appended, mode="ro") as t:
+        assert _held(s) == _held(t) == _counts(records)
 
 
 def test_a_killed_ingest_keeps_the_segments_flushed_before_it(tmp_path):

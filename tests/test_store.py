@@ -163,14 +163,15 @@ def test_newer_version_refused(tmp_path, store):
     # with its refine state as one JSON document, version 8 with a
     # segment's frames and detections sealed into one block, version 9
     # with a fused location in each label summary row, version 10 with
-    # block columns as plain little-endian items, and version 11 with the
-    # refine cursor and counts in a state record ending the .tracks log;
-    # nothing converts them
+    # block columns as plain little-endian items, version 11 with the
+    # refine cursor and counts in a state record ending the .tracks log,
+    # and version 12 with a manifest rewritten at every commit and no
+    # commit records in its log; nothing converts them
     store.close()
     p = os.path.join(store.root, "manifest.json")
     with open(p) as fh:
         m = json.load(fh)
-    for version in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
+    for version in (99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
         m["version"] = version
         with open(p, "w") as fh:
             json.dump(m, fh)
@@ -272,11 +273,12 @@ def test_read_only_open_follows_a_commit_during_its_load(tmp_path, monkeypatch):
     writer.close()
 
 
-def test_read_only_open_during_an_append_serves_the_older_snapshot(tmp_path, monkeypatch):
+def test_read_only_open_during_an_append_serves_the_newer_commit(tmp_path, monkeypatch):
     """A writer that ingests, refines and commits while a read-only open
     loads appends to the log and to the .tracks log that open's manifest
-    named. The open reads each only up to the length that manifest
-    committed, so it serves the older snapshot whole."""
+    named, and leaves the manifest as it was. The open reads the log to
+    its last commit record, and the .tracks log to the length that record
+    commits, so it serves the newer snapshot whole."""
     _gt, records = generate_scenario(small_scenario(seed=9, minutes=2.0))
     frames = [r for r in records if isinstance(r, FrameMeta)]
     cut = records.index(frames[len(frames) // 2])
@@ -284,7 +286,7 @@ def test_read_only_open_during_an_append_serves_the_older_snapshot(tmp_path, mon
     ingest_stream(iter(records[:cut]), writer)
     run_refinement_pass(writer)
     writer.flush()
-    older = (writer.frame_count(), writer.detection_count(), writer.load_refine_state())
+    older = writer.frame_count()
     real_load = Store._load
 
     def commit_first(self, manifest):
@@ -292,14 +294,51 @@ def test_read_only_open_during_an_append_serves_the_older_snapshot(tmp_path, mon
         ingest_stream(iter(records[cut:]), writer)
         run_refinement_pass(writer)
         writer.flush()
-        assert manifest["tracks"] == _manifest(writer.root)["tracks"]
-        assert manifest["tracks_bytes"] < _manifest(writer.root)["tracks_bytes"]
+        assert _manifest(writer.root) == manifest  # one append to each log, no checkpoint
         real_load(self, manifest)
 
     monkeypatch.setattr(Store, "_load", commit_first)
     reader = Store.open(writer.root, mode="ro")
-    assert (reader.frame_count(), reader.detection_count(), reader.load_refine_state()) == older
-    assert reader.frame_count() < writer.frame_count()
+    assert _snapshot(reader) == _snapshot(writer)
+    assert older < reader.frame_count() == len(frames)
+    reader.close()
+    writer.close()
+
+
+def test_read_only_open_follows_a_checkpoint_that_keeps_the_log(tmp_path, monkeypatch):
+    """A writer that, while a read-only open loads, rewrites the manifest
+    but keeps the log (a migration that rolls hourly rows into daily ones
+    and migrates no raw record), then appends and commits to that log:
+    the open takes commit records its manifest did not lead to, so it reads
+    the manifest again and serves the newer snapshot, summaries and all."""
+    _gt, records = generate_scenario(small_scenario(seed=9, minutes=3.0))
+    frames = [r for r in records if isinstance(r, FrameMeta)]
+    cuts = [records.index(frames[len(frames) * k // 3]) for k in (1, 2)]
+    mid = frames[len(frames) // 3].ts
+    writer = Store.create(str(tmp_path / "s"))
+    ingest_stream(iter(records[:cuts[0]]), writer)
+    writer.migrate_tiers(mid + timedelta(days=7), TierPolicy(hot_window=timedelta(days=7)))
+    ingest_stream(iter(records[cuts[0]:cuts[1]]), writer)  # a new log, which the manifest absorbs
+    assert {s.tier for s in writer.label_summaries()} == {"hourly"}
+    real_load = Store._load
+
+    def commit_first(self, manifest):
+        monkeypatch.setattr(Store, "_load", real_load)
+        log = manifest["segments"][-1]
+        roll = TierPolicy(hot_window=timedelta(days=7), warm_window=timedelta(hours=1))
+        report = writer.migrate_tiers(mid + timedelta(days=7, seconds=-1), roll)
+        assert report.detections_migrated == report.activities_migrated == 0 < report.hourly_rolled
+        ingest_stream(iter(records[cuts[1]:]), writer)
+        assert _manifest(writer.root)["segments"][-1] == log != manifest  # appended to its log
+        real_load(self, manifest)
+
+    monkeypatch.setattr(Store, "_load", commit_first)
+    reader = Store.open(writer.root, mode="ro")
+    assert {s.tier for s in reader.label_summaries()} == {"daily"}
+    assert (reader.label_summaries(), reader.activity_summaries(), reader.frame_count(),
+            reader.detection_count(), reader.activities()) == (
+        writer.label_summaries(), writer.activity_summaries(), len(frames),
+        writer.detection_count(), writer.activities())
     reader.close()
     writer.close()
 
@@ -974,18 +1013,21 @@ def test_saved_refine_state_replaces_undecoded_rows(populated):
 def test_refine_state_saved_with_no_changed_track_survives_reopen(populated):
     """A state saved with an empty change set, whose cursor and next track
     id differ from the last committed ones, is committed at the next flush,
-    in the manifest alone: the .tracks log does not grow."""
+    in a commit record alone: the .tracks log does not grow, and the
+    manifest keeps its bytes."""
     store, _gt, _records = populated
     run_refinement_pass(store)
     store.flush()
     state = store.load_refine_state()
     assert state["cursor"] > 0
-    committed = _manifest(store.root)["tracks_bytes"]
+    committed = _committed_lengths(store.root)[1]
+    manifest = _read(os.path.join(store.root, "manifest.json"))
     saved = {"cursor": 0, "next_track_id": state["next_track_id"] + 5}
     store.save_refine_state(dict(state, **saved), changed=[])
     store.flush()
     assert len(_log_records(store.root)) == len(state["tracks"])
-    assert _manifest(store.root)["tracks_bytes"] == committed
+    assert _committed_lengths(store.root)[1] == committed
+    assert _read(os.path.join(store.root, "manifest.json")) == manifest
     with Store.open(store.root, mode="ro") as reopened:
         got = reopened.load_refine_state()
         assert {k: got[k] for k in saved} == saved
@@ -993,12 +1035,19 @@ def test_refine_state_saved_with_no_changed_track_survives_reopen(populated):
     store.close()
 
 
+def _committed_lengths(root):
+    """The committed lengths of the log and of the .tracks log, as a
+    read-only open reads them: the manifest's, or its last commit record's."""
+    with Store.open(root, mode="ro") as s:
+        stats = s.stats()
+    return stats.log_bytes, stats.refine_state_bytes
+
+
 def _log_records(root, start=0):
     """The (tag, payload) records of the committed .tracks log from byte
     `start` on; the file holds nothing past its committed length."""
-    m = _manifest(root)
-    data = _read(os.path.join(root, "segments", m["tracks"]))
-    assert len(data) == m["tracks_bytes"]
+    data = _read(os.path.join(root, "segments", _manifest(root)["tracks"]))
+    assert len(data) == _committed_lengths(root)[1]
     return list(framed_records(data[start:]))
 
 
@@ -1335,10 +1384,18 @@ def _prepare_compact(s, gt, rest):
     return flush
 
 
+def _prepare_ingest(s, _gt, rest):
+    """A chunked ingest: it flushes once its appends fill a segment, which
+    seals the log, and once at the end."""
+    assert 400 < len(rest) < 800
+    return lambda: ingest_stream(iter(rest), s)
+
+
 @pytest.mark.parametrize("prepare", [_prepare_flush, _prepare_migrate, _prepare_migrate_cold,
-                                     _prepare_reprocess, _prepare_refine_append, _prepare_compact],
+                                     _prepare_reprocess, _prepare_refine_append, _prepare_compact,
+                                     _prepare_ingest],
                          ids=["flush", "migrate", "migrate-cold", "reprocess", "refine-append",
-                              "compact"])
+                              "compact", "ingest"])
 def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepare):
     """For every k, the k-th os.replace, apart the k-th os.fsync, apart the
     k-th append to a log, and apart the k-th write of a whole file (a block
@@ -1346,8 +1403,10 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
     of an operation fails: a flush after a refinement pass, a migration, a
     second migration by a writer that holds the oldest frame blocks cold, a
     reprocess, a flush that appends a pass's rows to a committed .tracks
-    log, or one that compacts that log. A read-write reopen then holds what
-    the store held before the operation or after it: every label's raw hits
+    log, one that compacts that log, or a chunked ingest that crosses a
+    segment boundary. A read-write reopen then holds what the store held
+    before the operation or after it, or for the ingest after its interval
+    flush: every label's raw hits
     plus summary counts, the raw detection count, the activities, the
     analyzed time, the tracks and the refine cursor. The next pass refines
     the detections past the cursor. segments/ holds just the files the
@@ -1438,7 +1497,26 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
     snapshot.close()
     assert not failed and after != before
     check(root, [after], blocks)
-    assert calls["replace"] >= 1 and calls["fsync"] >= 2 and calls["write-whole"] >= 1
+    allowed = [before, after]
+    if prepare is _prepare_ingest:  # and the store as its interval flush commits it
+        middle = str(tmp_path / "middle")
+        shutil.copytree(base, middle)
+        with Store.open(middle) as st:
+            ingest_stream(iter(records[cut:cut + 400]), st)
+        with Store.open(middle, mode="ro") as st:
+            allowed.insert(1, contents(st))
+        assert before != allowed[1] != after
+    # A reprocess's flush appends its records, a cover record and a commit
+    # record to the log in one write, and renames no manifest. Every other
+    # operation seals the log or migrates, so it writes blocks and renames
+    # one manifest; the chunked ingest's flush at the end is one more append
+    # to the log its interval flush started.
+    if prepare is _prepare_reprocess:
+        assert calls == {"replace": 0, "fsync": 1, "write": 1, "write-whole": 0}
+    else:
+        assert calls["replace"] == 1 and calls["write-whole"] >= 3
+    if prepare is _prepare_ingest:
+        assert calls["write"] == 2
     # every operation but the reprocess seals the log: a flush into a frame
     # block and a detection block, a migration its frames into a frame block
     # while it writes the kept detections as detection blocks; so every
@@ -1447,7 +1525,7 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
         _manifest(base)["segments"])
     sealed = set(_frame_blocks(root)) - set(blocks)
     assert bool(written) == (len(sealed) == 1) == (prepare is not _prepare_reprocess)
-    if prepare is not _prepare_flush and prepare is not _prepare_reprocess:
+    if prepare not in (_prepare_flush, _prepare_reprocess, _prepare_ingest):
         # appended to the committed log, or compacted into a fresh one; a
         # migration changes no track, so it appends to no log at all
         assert (_manifest(root)["tracks"] == tracks_file) == (prepare is not _prepare_compact)
@@ -1459,7 +1537,7 @@ def test_crash_at_any_durable_step_keeps_the_store(tmp_path, monkeypatch, prepar
         for k in range(1, calls[fail] + 1):
             root, _calls, failed, (_before, _tracks_file, blocks) = attempt(f"{fail}{k}", fail, k)
             assert failed
-            check(root, [before, after], blocks)
+            check(root, allowed, blocks)
 
 
 @pytest.mark.parametrize("operation", ["append", "seal", "migrate", "refine-append"])
@@ -1538,7 +1616,8 @@ def test_writer_carries_on_after_a_failed_fsync(tmp_path, monkeypatch, operation
     st.close()
     st, fsyncs = attempt("clean")
     after = state(st)
-    assert after != before and fsyncs >= 2
+    # an append that seals nothing and changes no track is one fsync, of the log
+    assert after != before and fsyncs >= 1 and (fsyncs == 1) == (operation == "append")
     assert any(n.endswith(".blk") and n not in _manifest(base)["segments"]
                for n in _manifest(st.root)["segments"]) == (operation in ("seal", "migrate"))
     st.close()
@@ -1555,14 +1634,158 @@ def test_writer_carries_on_after_a_failed_fsync(tmp_path, monkeypatch, operation
         st.close()
         # the logs hold nothing past their committed length, where an append would go
         m = _manifest(st.root)
+        log_bytes, tracks_bytes = _committed_lengths(st.root)
         if m["segments"][-1].endswith(".seg"):
-            assert os.path.getsize(os.path.join(st.root, "segments", m["segments"][-1])) == m["log_bytes"]
-        assert os.path.getsize(os.path.join(st.root, "segments", m["tracks"])) == m["tracks_bytes"]
+            assert os.path.getsize(os.path.join(st.root, "segments", m["segments"][-1])) == log_bytes
+        assert os.path.getsize(os.path.join(st.root, "segments", m["tracks"])) == tracks_bytes
         if operation == "refine-append":
             assert tracks_log(st.root) == clean_log
         reopened = Store.open(st.root, mode="ro")
         assert state(reopened) == want
         reopened.close()
+
+
+def _commit_fixture(tmp_path):
+    """A refined store whose log a first flush started (a new log: the
+    manifest absorbs it), and the rest of its feed cut into three parts."""
+    _gt, records = generate_scenario(small_scenario(seed=9, minutes=2.0))
+    frames = [r for r in records if isinstance(r, FrameMeta)]
+    cuts = [records.index(frames[len(frames) * k // 4]) for k in range(1, 4)]
+    s = Store.create(str(tmp_path / "s"))
+    ingest_stream(iter(records[:cuts[0]]), s)
+    run_refinement_pass(s)
+    s.flush()
+    return s, [records[a:b] for a, b in zip(cuts, cuts[1:] + [len(records)])]
+
+
+def _snapshot(st):
+    """What a commit publishes: records, coverage and refine state."""
+    stats = st.stats()
+    return (st.frame_count(), [d for _seq, d in st.detections_from(0)], st.labels(), st.activities(),
+            stats.coverage_spans, stats.log_bytes, stats.refine_state_bytes, st.tracks(),
+            st.load_refine_state()["cursor"], st.load_refine_state()["next_track_id"])
+
+
+def test_a_flush_that_appends_is_one_fsync(tmp_path, monkeypatch):
+    """A flush that appends to the log, seals nothing and changes no track
+    makes one os.fsync, no os.replace and no _write_durable, and leaves
+    manifest.json's bytes as they were. So does a flush that carries only a
+    coverage row. After a refinement pass that changed tracks a flush makes
+    two fsyncs, the .tracks log's and the log's; a flush with nothing to
+    commit makes none. A reopen holds what the writer holds."""
+    s, parts = _commit_fixture(tmp_path)
+    manifest_path = os.path.join(s.root, "manifest.json")
+    manifest = _read(manifest_path)
+    real = {"fsync": os.fsync, "replace": os.replace, "write-whole": store_module._write_durable}
+
+    def counted_flush():
+        calls = dict.fromkeys(real, 0)
+
+        def counting(name):
+            def call(*args):
+                calls[name] += 1
+                return real[name](*args)
+            return call
+        with monkeypatch.context() as m:
+            m.setattr(os, "fsync", counting("fsync"))
+            m.setattr(os, "replace", counting("replace"))
+            m.setattr(store_module, "_write_durable", counting("write-whole"))
+            s.flush()
+        return calls
+
+    for r in parts[0]:
+        s.append(r)
+    assert counted_flush() == {"fsync": 1, "replace": 0, "write-whole": 0}
+    assert counted_flush() == {"fsync": 0, "replace": 0, "write-whole": 0}
+    for r in parts[1]:
+        s.append(r)
+    report = run_refinement_pass(s)
+    assert report.tracks_created + report.tracks_updated >= 1
+    assert counted_flush() == {"fsync": 2, "replace": 0, "write-whole": 0}
+    s.mark_covered("ifrah", "dance", TimeRange(T0, T0 + timedelta(minutes=1)))
+    assert counted_flush() == {"fsync": 1, "replace": 0, "write-whole": 0}
+    assert _read(manifest_path) == manifest
+    with Store.open(s.root, mode="ro") as reopened:
+        assert _snapshot(reopened) == _snapshot(s)
+        assert reopened.is_covered("ifrah", "dance", TimeRange(T0, T0 + timedelta(seconds=30)))
+    s.close()
+
+
+def test_a_log_damaged_in_the_last_flush_reopens_at_the_previous_commit(tmp_path):
+    """With the log cut at every byte that its last flush appended (records,
+    a cover record and a commit record), or with a bit flipped there, a
+    store reopens exactly as the commit before it left it, read-only and
+    read-write, and a read-write open cuts the log back to that commit and
+    the .tracks log to the length it committed. Whole, the log reopens as
+    the last flush left it."""
+    s, parts = _commit_fixture(tmp_path)
+    for r in parts[0]:
+        s.append(r)
+    run_refinement_pass(s)
+    s.flush()
+    with Store.open(s.root, mode="ro") as st:
+        older = _snapshot(st)
+    log_bytes, tracks_bytes = _committed_lengths(s.root)
+    last = next(r for r in parts[1] if isinstance(r, FrameMeta))
+    s.append(last)
+    s.append(Detection(last.frame_id, "mug", "object", 0.9))  # a new track
+    s.append(ActivityEvent("ifrah", "dance", last.ts, last.ts + timedelta(seconds=1)))
+    s.mark_covered("steve", "dance", TimeRange(T0, last.ts))
+    assert run_refinement_pass(s).tracks_created == 1
+    s.flush()
+    newer = _snapshot(s)
+    s.close()
+    m = _manifest(s.root)
+    log_path = os.path.join(s.root, "segments", m["segments"][-1])
+    tracks_path = os.path.join(s.root, "segments", m["tracks"])
+    log, tracks = _read(log_path), _read(tracks_path)
+    assert len(log) == _committed_lengths(s.root)[0] > log_bytes > m["log_bytes"]
+    assert len(tracks) > tracks_bytes
+    flipped = []
+    for at in range(log_bytes, len(log)):
+        data = bytearray(log)
+        data[at] ^= 1 << at % 8
+        flipped.append(bytes(data))
+    for i, data in enumerate([log[:cut] for cut in range(log_bytes, len(log) + 1)] + flipped):
+        with open(log_path, "wb") as fh:
+            fh.write(data)
+        with open(tracks_path, "wb") as fh:
+            fh.write(tracks)
+        mode = "rw" if i % 2 else "ro"
+        with Store.open(s.root, mode=mode) as st:
+            assert _snapshot(st) == (newer if data == log else older)
+        if mode == "rw" and data != log:
+            assert (os.path.getsize(log_path), os.path.getsize(tracks_path)) == (
+                log_bytes, tracks_bytes)
+
+
+def test_read_only_open_between_the_tracks_append_and_the_commit(tmp_path, monkeypatch):
+    """A read-only open that reads the store after a flush appended a
+    pass's rows to the .tracks log but before it appended its commit record
+    to the log serves the older snapshot whole."""
+    s, parts = _commit_fixture(tmp_path)
+    with Store.open(s.root, mode="ro") as st:
+        older = _snapshot(st)
+    tracks_bytes = _committed_lengths(s.root)[1]
+    for r in parts[0]:
+        s.append(r)
+    run_refinement_pass(s)
+    real = store_module._append_durable
+    seen = []
+
+    def append(path, size, data):
+        if path.endswith(".seg"):
+            tracks = os.path.join(s.root, "segments", _manifest(s.root)["tracks"])
+            assert os.path.getsize(tracks) > tracks_bytes  # the rows went first
+            with Store.open(s.root, mode="ro") as st:
+                seen.append(_snapshot(st))
+        real(path, size, data)
+    monkeypatch.setattr(store_module, "_append_durable", append)
+    s.flush()
+    assert seen == [older]
+    with Store.open(s.root, mode="ro") as st:
+        assert _snapshot(st) == _snapshot(s) != older
+    s.close()
 
 
 def test_store_files_are_manifest_segments_and_tracks(tmp_path):
